@@ -703,11 +703,11 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
                 bucket_arcs.len()
             )));
         }
-        buckets.push(Bucket {
-            sources: sources.into(),
-            groups: groups.into(),
-            arcs: arcs.into(),
-        });
+        buckets.push(Bucket::from_parts(
+            sources.into(),
+            groups.into(),
+            arcs.into(),
+        ));
     }
     if observed_max_sources != max_sources {
         return Err(SpsepError::parse(format!(

@@ -12,7 +12,8 @@ use spsep_separator::{separator_locality_order, SepTree};
 /// Per-query statistics.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct QueryStats {
-    /// Edge relaxations performed.
+    /// Edge relaxations performed: the arcs the frontier-driven run
+    /// actually scanned, at most [`Preprocessed::arcs_per_query`].
     pub relaxations: u64,
     /// Nominal phases of the schedule (`2l + 4 d_G + 1`).
     pub phases: usize,
@@ -156,7 +157,9 @@ impl<S: Semiring> Preprocessed<S> {
             .collect()
     }
 
-    /// Per-source arc-scan bound of the schedule (`O(l·|E| + |E ∪ E⁺|)`).
+    /// Per-source arc-scan bound of the schedule (`O(l·|E| + |E ∪ E⁺|)`):
+    /// what a dense run scans, and the envelope of
+    /// [`QueryStats::relaxations`].
     pub fn arcs_per_query(&self) -> u64 {
         self.schedule.arcs_per_run()
     }

@@ -29,6 +29,17 @@
 //! list; a phase gathers source distances into a scratch vector and then
 //! reduces each target group independently. Work per source is
 //! `O(l·|E| + |E ∪ E⁺|)` — the bound of Section 3.2.
+//!
+//! The serving runs ([`Schedule::run_seq`], [`Schedule::run_seq_init`])
+//! execute the same phases frontier-driven instead: a phase scans only
+//! the arcs of sources that are finite and whose distance changed since
+//! the bucket's previous scan, pushing along a source-major mirror of the
+//! bucket (`PushArcs`). The skipped arcs would only re-offer candidates
+//! their targets already hold, so the answers are bit-identical to the
+//! dense pull loop (DESIGN.md §5), which [`Schedule::run_parallel`],
+//! [`Schedule::run_seq_parents`] and [`Schedule::run_seq_trace`] keep.
+
+use std::sync::OnceLock;
 
 use spsep_graph::slab::Pod;
 use spsep_graph::{Edge, Semiring, Store};
@@ -78,6 +89,57 @@ pub struct ArcRec<W> {
 // by semantic validation, not layout).
 unsafe impl Pod for ArcRec<f64> {}
 
+/// Source-major mirror of a bucket's arcs, for the frontier-driven
+/// runs: the arcs leaving source slot `k` are
+/// `targets[first[k]..first[k + 1]]` with weights `w[..]` at the same
+/// indices.
+///
+/// Filled by walking the target groups in order, so each source's arcs
+/// keep the group order and, per target, a frontier walked in slot
+/// order offers candidates in the same `(from, edge id)` order as the
+/// pull loop. Never serialized: derived from the bucket on its first
+/// frontier-driven scan ([`Bucket::push_arcs`]), so an oracle that is
+/// compiled only to be saved never pays for it.
+#[derive(Clone, Debug)]
+pub(crate) struct PushArcs<W> {
+    first: Vec<u32>,
+    targets: Vec<u32>,
+    w: Vec<W>,
+}
+
+impl<W: Copy> PushArcs<W> {
+    fn build(num_sources: usize, groups: &[Group], arcs: &[ArcRec<W>]) -> PushArcs<W> {
+        let mut first = vec![0u32; num_sources + 1];
+        for a in arcs {
+            first[a.slot as usize + 1] += 1;
+        }
+        for k in 0..num_sources {
+            first[k + 1] += first[k];
+        }
+        let mut cursor = first.clone();
+        let mut targets = vec![0u32; arcs.len()];
+        // Placeholder weights (`W` has no default); every slot is
+        // overwritten below because `groups` partitions `arcs`.
+        let mut w: Vec<W> = arcs.iter().map(|a| a.w).collect();
+        for g in groups {
+            for a in &arcs[g.start as usize..g.end as usize] {
+                let at = cursor[a.slot as usize] as usize;
+                cursor[a.slot as usize] += 1;
+                targets[at] = g.target;
+                w[at] = a.w;
+            }
+        }
+        PushArcs { first, targets, w }
+    }
+
+    /// The `(targets, weights)` of the arcs leaving source slot `slot`.
+    #[inline]
+    fn out(&self, slot: usize) -> (&[u32], &[W]) {
+        let (a, b) = (self.first[slot] as usize, self.first[slot + 1] as usize);
+        (&self.targets[a..b], &self.w[a..b])
+    }
+}
+
 /// One scannable edge class, grouped by target vertex.
 ///
 /// Storage is [`Store`]-backed: owned when compiled in-process, a
@@ -90,9 +152,34 @@ pub struct Bucket<W: Copy> {
     pub(crate) groups: Store<Group>,
     /// The arcs; `groups` partitions this array.
     pub(crate) arcs: Store<ArcRec<W>>,
+    /// Source-major mirror of `arcs`, derived on first use.
+    push: OnceLock<PushArcs<W>>,
 }
 
 impl<W: Copy> Bucket<W> {
+    /// Assemble a bucket from its stored arrays. `groups` must partition
+    /// `arcs` and every arc slot must index `sources` (checked by the
+    /// callers that read untrusted bytes).
+    pub(crate) fn from_parts(
+        sources: Store<u32>,
+        groups: Store<Group>,
+        arcs: Store<ArcRec<W>>,
+    ) -> Bucket<W> {
+        Bucket {
+            sources,
+            groups,
+            arcs,
+            push: OnceLock::new(),
+        }
+    }
+
+    /// The source-major mirror, derived once on first use (concurrent
+    /// first users wait for the one that builds it).
+    fn push_arcs(&self) -> &PushArcs<W> {
+        self.push
+            .get_or_init(|| PushArcs::build(self.sources.len(), &self.groups, &self.arcs))
+    }
+
     /// Build a bucket from `(from, to, edge_id, w)` arcs.
     ///
     /// `rank` is the separator-locality [`spsep_graph::NodeOrder`] rank
@@ -134,11 +221,7 @@ impl<W: Copy> Bucket<W> {
                 end: arcs.len() as u32,
             });
         }
-        Bucket {
-            sources: sources.into(),
-            groups: groups.into(),
-            arcs: arcs.into(),
-        }
+        Bucket::from_parts(sources.into(), groups.into(), arcs.into())
     }
 
     /// Number of arcs in this bucket.
@@ -306,8 +389,9 @@ impl<S: Semiring> Schedule<S> {
         self.total_phases
     }
 
-    /// Arcs scanned over one full schedule execution (the per-source work
-    /// bound, up to the `O(1)` gather overhead).
+    /// Arcs scanned over one dense schedule execution: the Section 3.2
+    /// per-source work bound (up to the `O(1)` gather overhead), and the
+    /// envelope of the frontier-driven runs' relaxation counts.
     pub fn arcs_per_run(&self) -> u64 {
         self.sequence
             .iter()
@@ -316,7 +400,8 @@ impl<S: Semiring> Schedule<S> {
     }
 
     /// Run the schedule from `source`, sequentially. Returns the distance
-    /// vector and the number of relaxations performed.
+    /// vector and the number of relaxations performed (arcs scanned, at
+    /// most [`Schedule::arcs_per_run`]).
     pub fn run_seq(&self, source: usize) -> (Vec<S::W>, u64) {
         let mut init = vec![S::zero(); self.n];
         init[source] = S::one();
@@ -328,27 +413,49 @@ impl<S: Semiring> Schedule<S> {
     /// `combine` over all `u` of `init[u] ⊗ dist(u, v)`; min-plus
     /// linearity makes the single-source phase argument apply per
     /// source).
+    ///
+    /// Frontier-driven: a phase gathers only the bucket's sources that
+    /// are finite and changed since that bucket's previous scan, then
+    /// pushes along their arcs. Every arc it skips would offer its target
+    /// the candidate it already offered at that scan, which `combine`
+    /// (keeping the incumbent on ties) discards against a distance that
+    /// has only fallen since — so the result is bit-identical to the
+    /// dense pull loop of [`Schedule::run_seq_parents`] (DESIGN.md §5).
     pub fn run_seq_init(&self, mut dist: Vec<S::W>) -> (Vec<S::W>, u64) {
         assert_eq!(dist.len(), self.n);
-        let mut scratch: Vec<S::W> = vec![S::zero(); self.max_sources];
+        // Phases are numbered from 1. `changed[v]`: the phase in which
+        // `dist[v]` last fell (0 = still the initial label).
+        // `scanned[b]`: the phase that last scanned bucket `b` (0 =
+        // never, which admits every finite source).
+        let mut changed = vec![0u32; self.n];
+        let mut scanned = vec![0u32; self.buckets.len()];
+        let mut frontier: Vec<(u32, S::W)> = Vec::with_capacity(self.max_sources);
         let mut relaxations = 0u64;
-        for &bi in self.sequence.iter() {
+        for (phase, &bi) in (1u32..).zip(self.sequence.iter()) {
             let bucket = &self.buckets[bi as usize];
-            for (slot, &src) in bucket.sources.iter().enumerate() {
-                scratch[slot] = dist[src as usize];
-            }
-            for &Group { target, start, end } in bucket.groups.iter() {
-                let mut best = dist[target as usize];
-                for a in &bucket.arcs[start as usize..end as usize] {
-                    let sv = scratch[a.slot as usize];
-                    if S::is_zero(sv) {
-                        continue;
-                    }
-                    best = S::combine(best, S::extend(sv, a.w));
+            // A source that fell during the previous scan itself was
+            // gathered before it fell, hence `>=`.
+            let since = std::mem::replace(&mut scanned[bi as usize], phase);
+            frontier.clear();
+            for (slot, &src) in (0u32..).zip(bucket.sources.iter()) {
+                let d = dist[src as usize];
+                if changed[src as usize] >= since && !S::is_zero(d) {
+                    frontier.push((slot, d));
                 }
-                dist[target as usize] = best;
             }
-            relaxations += bucket.len() as u64;
+            let push = bucket.push_arcs();
+            for &(slot, d) in &frontier {
+                let (targets, weights) = push.out(slot as usize);
+                relaxations += targets.len() as u64;
+                for (&t, &w) in targets.iter().zip(weights) {
+                    let cur = dist[t as usize];
+                    let merged = S::combine(cur, S::extend(d, w));
+                    if merged != cur {
+                        dist[t as usize] = merged;
+                        changed[t as usize] = phase;
+                    }
+                }
+            }
         }
         (dist, relaxations)
     }
@@ -538,6 +645,41 @@ mod tests {
                 .map(|r| (b.sources()[r.slot as usize], r.id))
                 .collect();
             assert_eq!(arcs_a, arcs_b);
+        }
+    }
+
+    #[test]
+    fn push_mirror_offers_each_target_its_group_order() {
+        // Two parallel 0→2 arcs, targets laid out in reversed rank.
+        let b = Bucket::build(
+            vec![
+                (1u32, 2u32, 0u32, 1.0f64),
+                (0, 2, 1, 2.0),
+                (0, 3, 2, 4.0),
+                (1, 3, 3, 0.5),
+                (0, 2, 4, 3.0),
+            ],
+            &[3, 2, 1, 0],
+        );
+        let mut offered: Vec<(u32, u32, f64)> = Vec::new();
+        for slot in 0..b.sources().len() {
+            let (targets, weights) = b.push_arcs().out(slot);
+            for (&t, &w) in targets.iter().zip(weights) {
+                offered.push((t, slot as u32, w));
+            }
+        }
+        assert_eq!(offered.len(), b.len());
+        for g in b.groups() {
+            let walked: Vec<(u32, f64)> = offered
+                .iter()
+                .filter(|o| o.0 == g.target)
+                .map(|o| (o.1, o.2))
+                .collect();
+            let pulled: Vec<(u32, f64)> = b.arcs()[g.start as usize..g.end as usize]
+                .iter()
+                .map(|a| (a.slot, a.w))
+                .collect();
+            assert_eq!(walked, pulled, "target {}", g.target);
         }
     }
 

@@ -7,15 +7,24 @@
 //! **bit-identical** at 1, 2, 4, and 8 threads, and must agree with the
 //! Dijkstra oracle. `f64` distances are compared via `to_bits`, not
 //! `==`, so `-0.0` vs `0.0` or NaN-payload drift would be caught.
+//!
+//! The same bit-for-bit contract pins the frontier-driven query
+//! executor (`Schedule::run_seq` / `run_seq_init`) to the dense pull
+//! loop it replaces on the serving path, on every family under both the
+//! `f64` and the exact `i64` semiring, and on hostile weights.
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayon::with_max_threads;
 use spsep_baselines::dijkstra;
 use spsep_bench::families::Family;
+use spsep_core::schedule::Schedule;
 use spsep_core::{preprocess, preprocess_or_fallback, Algorithm, FallbackPolicy};
-use spsep_graph::semiring::Tropical;
-use spsep_graph::{BitMatrix, DiGraph};
+use spsep_graph::semiring::{Semiring, Tropical, TropicalInt};
+use spsep_graph::{BitMatrix, DiGraph, Edge};
 use spsep_pram::Metrics;
-use spsep_separator::SepTree;
+use spsep_separator::{builders, RecursionLimits, SepTree};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const N_TARGET: usize = 240;
@@ -222,5 +231,193 @@ fn fallback_path_is_bit_identical_across_thread_counts() {
             let context = format!("{} fallback at {threads} threads", family.label());
             assert_rows_bit_identical(&reference, &got, &context);
         }
+    }
+}
+
+/// Weight domains compared bit for bit.
+trait Bits: Copy + std::fmt::Debug {
+    fn bits(self) -> u64;
+}
+
+impl Bits for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+impl Bits for i64 {
+    fn bits(self) -> u64 {
+        self as u64
+    }
+}
+
+/// The dense pull loop, written against the public schedule accessors:
+/// the reference for `run_seq_init`, which has no dense sibling.
+fn dense_reference<S: Semiring>(sched: &Schedule<S>, mut dist: Vec<S::W>) -> Vec<S::W> {
+    let mut scratch = vec![S::zero(); sched.max_sources()];
+    for &bi in sched.sequence() {
+        let bucket = &sched.buckets()[bi as usize];
+        for (slot, &src) in bucket.sources().iter().enumerate() {
+            scratch[slot] = dist[src as usize];
+        }
+        for g in bucket.groups() {
+            let mut best = dist[g.target as usize];
+            for a in &bucket.arcs()[g.start as usize..g.end as usize] {
+                let sv = scratch[a.slot as usize];
+                if !S::is_zero(sv) {
+                    best = S::combine(best, S::extend(sv, a.w));
+                }
+            }
+            dist[g.target as usize] = best;
+        }
+    }
+    dist
+}
+
+fn assert_bits_eq<W: Bits>(reference: &[W], got: &[W], context: &str) {
+    assert_eq!(reference.len(), got.len(), "{context}: row length");
+    for (v, (&a, &b)) in reference.iter().zip(got).enumerate() {
+        assert_eq!(a.bits(), b.bits(), "{context}: vertex {v}: {a:?} vs {b:?}");
+    }
+}
+
+/// `run_seq` against `run_seq_parents` (the dense loop behind
+/// `explain`) and `run_seq_init` against [`dense_reference`], bit for
+/// bit, with every relaxation count inside the `arcs_per_run` envelope.
+fn assert_executor_exact<S: Semiring>(
+    sched: &Schedule<S>,
+    sources: &[usize],
+    inits: &[Vec<S::W>],
+    context: &str,
+) where
+    S::W: Bits,
+{
+    let envelope = sched.arcs_per_run();
+    for &s in sources {
+        let (got, relaxations) = sched.run_seq(s);
+        let (reference, _) = sched.run_seq_parents(s);
+        assert_bits_eq(&reference, &got, &format!("{context}: run_seq({s})"));
+        assert!(
+            relaxations <= envelope,
+            "{context}: run_seq({s}) scanned {relaxations} > {envelope} arcs"
+        );
+        let mut init = vec![S::zero(); sched.n()];
+        init[s] = S::one();
+        let own = dense_reference(sched, init);
+        assert_bits_eq(&reference, &own, &format!("{context}: reference({s})"));
+    }
+    for (i, init) in inits.iter().enumerate() {
+        let (got, relaxations) = sched.run_seq_init(init.clone());
+        let reference = dense_reference(sched, init.clone());
+        assert_bits_eq(&reference, &got, &format!("{context}: run_seq_init #{i}"));
+        assert!(
+            relaxations <= envelope,
+            "{context}: run_seq_init #{i} scanned {relaxations} > {envelope} arcs"
+        );
+    }
+}
+
+/// A multi-source label vector: the probe sources at `one`, `extra`
+/// at vertex 1.
+fn probe_init<S: Semiring>(n: usize, extra: S::W) -> Vec<S::W> {
+    let mut init = vec![S::zero(); n];
+    for s in sources_for(n) {
+        init[s] = S::one();
+    }
+    init[1.min(n - 1)] = extra;
+    init
+}
+
+#[test]
+fn frontier_executor_matches_the_dense_loop_on_every_family() {
+    for family in Family::all() {
+        let (g, tree) = family.instance(N_TARGET, SEED);
+        let n = g.n();
+        let metrics = Metrics::new();
+        let pre = preprocess::<Tropical>(&g, &tree, Algorithm::LeavesUp, &metrics)
+            .unwrap_or_else(|e| panic!("{}: {e}", family.label()));
+        let inits = [
+            probe_init::<Tropical>(n, -0.0),
+            probe_init::<Tropical>(n, 2.5),
+        ];
+        assert_executor_exact(pre.schedule(), &sources_for(n), &inits, family.label());
+
+        let gi: DiGraph<i64> = g.map_weights(|e| (e.w * 1000.0).round() as i64);
+        let pre = preprocess::<TropicalInt>(&gi, &tree, Algorithm::LeavesUp, &metrics)
+            .unwrap_or_else(|e| panic!("{} (i64): {e}", family.label()));
+        let inits = [probe_init::<TropicalInt>(n, -7)];
+        let context = format!("{} (i64)", family.label());
+        assert_executor_exact(pre.schedule(), &sources_for(n), &inits, &context);
+    }
+}
+
+/// A random digraph with hostile but cycle-safe integer weights: base
+/// weights in `{0, 1, 2}` skewed by integer potentials (so negative arcs
+/// abound, every cycle weighs its non-negative base sum, and all-zero
+/// cycles occur), zeros of both signs, self-loops and parallel arcs,
+/// and at most `density · n` arcs (so many vertices are unreachable).
+fn hostile_graph(n: usize, density: usize, rng: &mut StdRng) -> DiGraph<f64> {
+    let pot: Vec<i32> = (0..n).map(|_| rng.gen_range(-4..5)).collect();
+    let edges = (0..density * n)
+        .map(|_| {
+            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let base = rng.gen_range(0..3) + pot[from] - pot[to];
+            let w = match base {
+                0 if rng.gen_range(0..2) == 0 => -0.0,
+                b => f64::from(b),
+            };
+            Edge::new(from, to, w)
+        })
+        .collect();
+    DiGraph::from_edges(n, edges)
+}
+
+/// Multi-source labels: mostly unreachable, else `±0` or a small
+/// integer of either sign.
+fn hostile_init(n: usize, rng: &mut StdRng) -> Vec<f64> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..6) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::from(rng.gen_range(-3..4)),
+            _ => f64::INFINITY,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The executor is exact on negative weights, `±0.0`, zero-weight
+    /// cycles, unreachable vertices and multi-source label vectors,
+    /// under `f64` and (the same weights) the exact `i64` semiring.
+    #[test]
+    fn frontier_executor_is_exact_on_hostile_weights(
+        n in 2usize..70,
+        density in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = hostile_graph(n, density, &mut rng);
+        let tree = builders::bfs_tree(&g.undirected_skeleton(), RecursionLimits::default());
+        let metrics = Metrics::new();
+        let sources = [0, n / 2, n - 1];
+        let inits: Vec<Vec<f64>> = (0..3).map(|_| hostile_init(n, &mut rng)).collect();
+        let pre = preprocess::<Tropical>(&g, &tree, Algorithm::LeavesUp, &metrics)
+            .expect("every cycle is non-negative by construction");
+        assert_executor_exact(pre.schedule(), &sources, &inits, &format!("f64 seed {seed}"));
+
+        let gi: DiGraph<i64> = g.map_weights(|e| e.w as i64);
+        let inits: Vec<Vec<i64>> = inits
+            .iter()
+            .map(|init| {
+                init.iter()
+                    .map(|&x| if x.is_infinite() { i64::MAX } else { x as i64 })
+                    .collect()
+            })
+            .collect();
+        let pre = preprocess::<TropicalInt>(&gi, &tree, Algorithm::LeavesUp, &metrics)
+            .expect("every cycle is non-negative by construction");
+        assert_executor_exact(pre.schedule(), &sources, &inits, &format!("i64 seed {seed}"));
     }
 }

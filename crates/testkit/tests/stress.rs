@@ -14,7 +14,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use rayon::prelude::*;
-use rayon::with_max_threads;
+use rayon::{await_workers_started, with_max_threads};
 use spsep_baselines::dijkstra;
 use spsep_core::{preprocess_or_fallback, run_protected, FallbackPolicy, SpsepError};
 use spsep_pram::Metrics;
@@ -63,12 +63,22 @@ fn worker_census() -> usize {
         .count()
 }
 
-#[test]
-fn corrupted_instances_under_the_pool_never_hang_or_lie() {
-    // Force the pool into existence before the census.
+/// The census once the pool exists and every worker has started (and
+/// so carries its name). It must equal the pool's worker count: a
+/// census taken earlier races the workers' start-up and can come up
+/// short, then "drift" upward by the end of the test.
+fn settled_census() -> usize {
     let warmup: usize = (0..64usize).into_par_iter().sum();
     assert_eq!(warmup, 2016);
-    let workers_before = worker_census();
+    let workers = await_workers_started();
+    let census = worker_census();
+    assert_eq!(census, workers, "every started worker must be counted");
+    census
+}
+
+#[test]
+fn corrupted_instances_under_the_pool_never_hang_or_lie() {
+    let workers_before = settled_census();
     assert!(workers_before > 0, "pool must have spawned workers");
 
     for inst in instance_corruptions() {
@@ -120,9 +130,7 @@ fn corrupted_instances_under_the_pool_never_hang_or_lie() {
 
 #[test]
 fn worker_panics_surface_as_typed_executor_errors_not_hangs() {
-    let warmup: usize = (0..64usize).into_par_iter().sum();
-    assert_eq!(warmup, 2016);
-    let workers_before = worker_census();
+    let workers_before = settled_census();
 
     for round in 0..10 {
         let result: Result<(), SpsepError> = with_watchdog("panic-round", move || {

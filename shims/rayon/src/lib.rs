@@ -29,7 +29,10 @@ mod pool;
 
 pub mod iter;
 
-pub use pool::{join, pool_stats, reset_pool_stats, with_max_threads, PoolStats, WorkerStats};
+pub use pool::{
+    await_workers_started, join, pool_stats, reset_pool_stats, with_max_threads, PoolStats,
+    WorkerStats,
+};
 
 /// Below this weight (caller-chosen units: elements, vertices, …)
 /// [`join_weighted`] runs sequentially — publishing to the pool costs a

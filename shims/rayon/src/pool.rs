@@ -77,6 +77,11 @@ pub(crate) struct Pool {
     reclaimed_handles: AtomicU64,
     /// Telemetry: high-water mark of the injector queue length.
     max_queue_depth: AtomicU64,
+    /// Worker threads that have entered their loop (and so carry their
+    /// OS thread name, which the runtime sets from inside the new
+    /// thread); see [`await_workers_started`].
+    started: Mutex<usize>,
+    started_cv: Condvar,
 }
 
 /// Per-worker telemetry counters. All updates are relaxed atomics on the
@@ -170,6 +175,8 @@ pub(crate) fn pool() -> &'static Pool {
             steal_backs: AtomicU64::new(0),
             reclaimed_handles: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
+            started: Mutex::new(0),
+            started_cv: Condvar::new(),
         }));
         for i in 0..capacity - 1 {
             std::thread::Builder::new()
@@ -230,8 +237,25 @@ pub fn with_max_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Block until every pool worker thread has started, then return how
+/// many there are. Spawning returns before a new thread runs (and before
+/// it is named), so a census of the process's `spsep-worker-*` threads
+/// taken right after the pool's first use can come up short; take it
+/// after this returns instead.
+pub fn await_workers_started() -> usize {
+    let pool = pool();
+    let workers = pool.capacity - 1;
+    let mut started = lock(&pool.started);
+    while *started < workers {
+        started = pool.started_cv.wait(started).unwrap_or_else(|e| e.into_inner());
+    }
+    workers
+}
+
 fn worker_loop(pool: &'static Pool, index: usize) {
     let telemetry = &pool.worker_telemetry[index];
+    *lock(&pool.started) += 1;
+    pool.started_cv.notify_all();
     loop {
         let task = {
             let mut q = lock(&pool.injector);
