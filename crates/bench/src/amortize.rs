@@ -1,27 +1,49 @@
-//! E18 — snapshot amortization: prepare-once vs load-and-serve, plus the
-//! `BENCH_amortize.json` artifact (schema `spsep-amortize/v1`).
+//! E18 — snapshot amortization: prepare once vs reload one
+//! `spsep-oracle/v2` snapshot, plus the `BENCH_amortize.json` artifact
+//! (schema `spsep-amortize/v2`).
 //!
-//! The serving layer (`spsep_core::oracle`, DESIGN.md §10) claims that
-//! reloading a persisted `spsep-oracle/v1` snapshot is much cheaper than
-//! re-running the Sections 3–5 preprocessing. E18 measures that claim
-//! per family: full preprocessing wall-clock, snapshot size, snapshot
-//! load wall-clock (parse + checksum + validate + schedule compile), the
-//! prepare/load speedup, and the cost of one cold scheduled query from
-//! the loaded oracle. Every row also re-checks the bit-identity contract
-//! (loaded answers == fresh answers, compared via `to_bits`).
+//! The serving layer (`spsep_core::oracle`, DESIGN.md §10 and §12)
+//! claims that reloading a persisted snapshot is much cheaper than
+//! re-running the Sections 3–5 preprocessing, and cheaper even than
+//! recompiling the query schedule from already prepared parts. E18
+//! measures both claims per family, with every leg an entry point the
+//! deployment uses:
+//!
+//! * `prepare_ms` — `Oracle::prepare` (validate + augment + compile);
+//! * `compile_ms` — `Oracle::from_snapshot` on the prepared parts
+//!   (graph, tree, `E⁺`): the schedule compilation alone;
+//! * `load_ms` — `Oracle::load_path` on the written file: mmap +
+//!   checksums + validation sweep, best of [`LOAD_REPS`] so the ratio
+//!   is not scheduling noise;
+//! * `query_us` — one cold scheduled point query from the loaded
+//!   oracle (mean over distinct sources).
+//!
+//! Every row re-checks the contracts: full `source_table` rows of the
+//! loaded and the compiled oracle equal the freshly prepared oracle's
+//! rows via `to_bits`, and the loaded oracle is slab-backed (it serves
+//! straight out of the mapping, no owned copy).
 //!
 //! Same no-serde discipline as E16/E17: the artifact is written with
-//! `format!`, re-parsed by `jsonv` (the crate-private mini JSON parser), and validated before the
-//! `tables` binary writes it.
+//! `format!`, re-parsed by `jsonv` (the crate-private mini JSON parser),
+//! and validated before the `tables` binary writes it.
 
 use crate::families::Family;
 use crate::jsonv::{field, parse_json, Json};
 use crate::{fmt_f, Table};
-use spsep_core::{Algorithm, Oracle};
+use spsep_core::io::Snapshot;
+use spsep_core::{Algorithm, Augmentation, Oracle};
 use spsep_pram::Metrics;
 use std::time::Instant;
 
-/// One measured family: prepare vs load economics of the oracle snapshot.
+/// Load repetitions per family; the recorded wall-clock is the minimum,
+/// the standard estimator for a deterministic operation's cost
+/// (everything above the minimum is scheduling noise).
+pub const LOAD_REPS: usize = 5;
+
+/// Artifact schema tag.
+const SCHEMA: &str = "spsep-amortize/v2";
+
+/// One measured family: the three ways to stand up an oracle.
 pub struct AmortRecord {
     /// Machine-readable family slug (`grid2d`, `tree`, …).
     pub family: String,
@@ -31,87 +53,142 @@ pub struct AmortRecord {
     pub m: usize,
     /// Shortcut edges in `E⁺`.
     pub eplus: usize,
-    /// Snapshot size in bytes.
+    /// `spsep-oracle/v2` snapshot size in bytes.
     pub snap_bytes: usize,
     /// Full preprocessing wall-clock (validate + augment + compile), ms.
     pub prepare_ms: f64,
-    /// Snapshot load wall-clock (parse + checksums + validate +
-    /// compile), ms.
+    /// `Oracle::from_snapshot` on the prepared parts: schedule
+    /// compilation alone, ms.
+    pub compile_ms: f64,
+    /// `Oracle::load_path` on the snapshot file (mmap + checksums +
+    /// validation), ms, best of [`LOAD_REPS`].
     pub load_ms: f64,
     /// One cold scheduled point query from the loaded oracle, µs
     /// (mean over distinct sources).
     pub query_us: f64,
     /// `prepare_ms / load_ms`: how many times cheaper reloading is.
     pub amortization: f64,
-    /// Loaded answers are bit-identical to freshly prepared ones.
+    /// The loaded oracle reported `is_slab_backed()`.
+    pub slab_backed: bool,
+    /// Loaded and compiled `source_table` rows are bit-identical to the
+    /// freshly prepared oracle's rows.
     pub bit_identical: bool,
 }
 
-/// E18 — measure the prepare/load amortization for every family.
-/// Returns the rendered report plus the raw records for the JSON
-/// artifact.
+/// Whether two distance rows agree bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// E18 — measure prepare vs compile vs load for every family. Returns
+/// the rendered report plus the raw records for the JSON artifact.
 ///
 /// `smoke` shrinks the instances so CI exercises the full pipeline
-/// (prepare → save → load → query → serialize → validate) in seconds.
+/// (prepare → compile → save → load → query → serialize → validate) in
+/// seconds.
 pub fn e18_amortization(smoke: bool) -> (String, Vec<AmortRecord>) {
     let n_target = if smoke { 240 } else { 1024 };
     let mut records = Vec::new();
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
     for family in Family::all() {
+        let slug = family.slug();
         let (g, tree) = family.instance(n_target, 18);
         let (n, m) = (g.n(), g.m());
 
         let t0 = Instant::now();
-        let fresh = Oracle::prepare(g, tree, Algorithm::LeavesUp, &Metrics::new())
-            .unwrap_or_else(|e| panic!("{}: prepare failed: {e}", family.slug()));
+        let fresh = Oracle::prepare(
+            g.clone(),
+            tree.clone(),
+            Algorithm::LeavesUp,
+            &Metrics::new(),
+        )
+        .unwrap_or_else(|e| panic!("{slug}: prepare failed: {e}"));
         let prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+        let parts = Snapshot {
+            graph: g,
+            tree,
+            algo: Algorithm::LeavesUp,
+            augmentation: Augmentation {
+                eplus: fresh.preprocessed().eplus().to_vec(),
+                stats: fresh.stats(),
+            },
+        };
+        let t1 = Instant::now();
+        let compiled = Oracle::from_snapshot(parts);
+        let compile_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let mut snapshot = Vec::new();
         fresh
-            .save(&mut snapshot)
-            .unwrap_or_else(|e| panic!("{}: save failed: {e}", family.slug()));
+            .save_v2(&mut snapshot)
+            .unwrap_or_else(|e| panic!("{slug}: save_v2 failed: {e}"));
+        let path = dir.join(format!("spsep-e18-{tag}-{slug}.sps"));
+        std::fs::write(&path, &snapshot)
+            .unwrap_or_else(|e| panic!("{slug}: cannot write temp snapshot: {e}"));
+        let mut load_ms = f64::INFINITY;
+        let mut served = None;
+        for _ in 0..LOAD_REPS {
+            let t = Instant::now();
+            let oracle = Oracle::load_path(&path)
+                .unwrap_or_else(|e| panic!("{slug}: load_path failed: {e}"));
+            load_ms = load_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            served = Some(oracle);
+        }
+        let served = served.expect("LOAD_REPS > 0");
 
-        let t1 = Instant::now();
-        let served = Oracle::load(snapshot.as_slice())
-            .unwrap_or_else(|e| panic!("{}: load failed: {e}", family.slug()));
-        let load_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        // Cold point queries from distinct sources (every one a cache
-        // miss → one full scheduled run each), and the bit-identity
-        // cross-check against the freshly prepared oracle.
+        // Cold point queries from distinct sources: every one a cache
+        // miss, so one full scheduled run each.
         let metrics = Metrics::new();
         let sources: Vec<usize> = (0..8).map(|i| i * n / 8).collect();
-        let mut bit_identical = true;
         let t2 = Instant::now();
         for &s in &sources {
-            let target = (s + n / 2) % n;
-            let d = served
-                .distance(s, target, &metrics)
-                .unwrap_or_else(|e| panic!("{}: query failed: {e}", family.slug()));
-            let d_fresh = fresh
-                .distance(s, target, &metrics)
-                .unwrap_or_else(|e| panic!("{}: query failed: {e}", family.slug()));
-            bit_identical &= d.to_bits() == d_fresh.to_bits();
+            served
+                .distance(s, (s + n / 2) % n, &metrics)
+                .unwrap_or_else(|e| panic!("{slug}: query failed: {e}"));
         }
-        let query_us = t2.elapsed().as_secs_f64() * 1e6 / (2.0 * sources.len() as f64);
+        let query_us = t2.elapsed().as_secs_f64() * 1e6 / sources.len() as f64;
+
+        // Full-row bit-identity of both derived oracles against the
+        // fresh one — the contract, re-checked on every run.
+        let mut bit_identical = true;
+        for s in [0, n / 3, n / 2, n - 1] {
+            let table = |o: &Oracle| {
+                o.source_table(s, &metrics)
+                    .unwrap_or_else(|e| panic!("{slug}: query failed: {e}"))
+            };
+            let want = table(&fresh);
+            bit_identical &= same_bits(&table(&served), &want);
+            bit_identical &= same_bits(&table(&compiled), &want);
+        }
+        let slab_backed = served.is_slab_backed();
+
+        // The mapping borrows the file; drop the oracle before deleting
+        // so the unlink is obviously safe on every platform.
+        drop(served);
+        let _ = std::fs::remove_file(&path);
 
         records.push(AmortRecord {
-            family: family.slug().to_owned(),
+            family: slug.to_owned(),
             n,
             m,
             eplus: fresh.stats().eplus_edges,
             snap_bytes: snapshot.len(),
             prepare_ms,
+            compile_ms,
             load_ms,
             query_us,
             amortization: prepare_ms / load_ms.max(1e-9),
+            slab_backed,
             bit_identical,
         });
     }
 
     let mut out = format!(
-        "E18 — oracle snapshot amortization (n≈{n_target} per family): \
-         full preprocessing vs `spsep-oracle/v1` snapshot reload, and one \
-         cold scheduled query from the reloaded oracle.\n\n",
+        "E18 — oracle snapshot amortization (n≈{n_target} per family): full \
+         preprocessing vs schedule compilation from the prepared parts vs \
+         `spsep-oracle/v2` reload through `Oracle::load_path` (best of \
+         {LOAD_REPS}), and one cold scheduled query from the reloaded oracle.\n\n",
     );
     out.push_str(&render_amortize_table(&records));
     (out, records)
@@ -126,9 +203,11 @@ pub fn render_amortize_table(records: &[AmortRecord]) -> String {
         "|E+|",
         "snap_KB",
         "prepare_ms",
+        "compile_ms",
         "load_ms",
         "speedup",
         "query_us",
+        "slab",
     ]);
     for r in records {
         t.row(vec![
@@ -138,35 +217,39 @@ pub fn render_amortize_table(records: &[AmortRecord]) -> String {
             r.eplus.to_string(),
             format!("{:.1}", r.snap_bytes as f64 / 1024.0),
             fmt_f(r.prepare_ms),
+            fmt_f(r.compile_ms),
             fmt_f(r.load_ms),
             format!("{:.1}x", r.amortization),
             fmt_f(r.query_us),
+            if r.slab_backed { "mmap" } else { "copy" }.into(),
         ]);
     }
     t.render()
 }
 
-/// Serialize records as `spsep-amortize/v1` JSON.
+/// Serialize records as `spsep-amortize/v2` JSON.
 pub fn amortize_json(records: &[AmortRecord]) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut s = String::from("{\n  \"schema\": \"spsep-amortize/v1\",\n");
+    let mut s = format!("{{\n  \"schema\": \"{SCHEMA}\",\n");
     s.push_str(&format!("  \"host_cores\": {cores},\n"));
     s.push_str("  \"entries\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"family\": \"{}\", \"n\": {}, \"m\": {}, \"eplus\": {}, \
-             \"snap_bytes\": {}, \"prepare_ms\": {:.4}, \"load_ms\": {:.4}, \
-             \"query_us\": {:.4}, \"amortization\": {:.4}, \
-             \"bit_identical\": {}}}{}\n",
+             \"snap_bytes\": {}, \"prepare_ms\": {:.4}, \"compile_ms\": {:.4}, \
+             \"load_ms\": {:.4}, \"query_us\": {:.4}, \"amortization\": {:.4}, \
+             \"slab_backed\": {}, \"bit_identical\": {}}}{}\n",
             r.family,
             r.n,
             r.m,
             r.eplus,
             r.snap_bytes,
             r.prepare_ms,
+            r.compile_ms,
             r.load_ms,
             r.query_us,
             r.amortization,
+            r.slab_backed,
             r.bit_identical,
             if i + 1 == records.len() { "" } else { "," },
         ));
@@ -175,7 +258,7 @@ pub fn amortize_json(records: &[AmortRecord]) -> String {
     s
 }
 
-/// Parse a validated `spsep-amortize/v1` document back into records —
+/// Parse a validated `spsep-amortize/v2` document back into records —
 /// the `tables e18 --amortize-in` path that renders the committed
 /// artifact without re-measuring.
 pub fn read_amortize_json(json: &str) -> Result<Vec<AmortRecord>, String> {
@@ -201,7 +284,6 @@ pub fn read_amortize_json(json: &str) -> Result<Vec<AmortRecord>, String> {
             Ok(Json::Str(v)) => v.clone(),
             _ => unreachable!("validated above"),
         };
-        let bit_identical = matches!(field(e, "bit_identical"), Ok(Json::Bool(true)));
         out.push(AmortRecord {
             family,
             n: num("n") as usize,
@@ -209,27 +291,30 @@ pub fn read_amortize_json(json: &str) -> Result<Vec<AmortRecord>, String> {
             eplus: num("eplus") as usize,
             snap_bytes: num("snap_bytes") as usize,
             prepare_ms: num("prepare_ms"),
+            compile_ms: num("compile_ms"),
             load_ms: num("load_ms"),
             query_us: num("query_us"),
             amortization: num("amortization"),
-            bit_identical,
+            slab_backed: matches!(field(e, "slab_backed"), Ok(Json::Bool(true))),
+            bit_identical: matches!(field(e, "bit_identical"), Ok(Json::Bool(true))),
         });
     }
     Ok(out)
 }
 
-/// Validate a `spsep-amortize/v1` document. Returns the entry count.
+/// Validate a `spsep-amortize/v2` document. Returns the entry count.
 ///
 /// Checks structure and types, entry-level invariants (positive sizes,
 /// finite positive timings, a positive amortization ratio consistent
-/// with `prepare_ms / load_ms`), and the bit-identity flag — an
-/// artifact recording diverging answers must never validate.
+/// with `prepare_ms / load_ms`), and both contract flags — an artifact
+/// recording diverging answers, or a load that fell back to an owned
+/// copy, must never validate.
 pub fn validate_amortize_json(json: &str) -> Result<usize, String> {
     let Json::Obj(top) = parse_json(json)? else {
         return Err("top level must be an object".into());
     };
     match field(&top, "schema")? {
-        Json::Str(s) if s == "spsep-amortize/v1" => {}
+        Json::Str(s) if s == SCHEMA => {}
         other => return Err(format!("bad schema field: {other:?}")),
     }
     let Json::Num(cores) = field(&top, "host_cores")? else {
@@ -270,6 +355,7 @@ pub fn validate_amortize_json(json: &str) -> Result<usize, String> {
             }
         };
         let prepare_ms = t("prepare_ms")?;
+        let _compile_ms = t("compile_ms")?;
         let load_ms = t("load_ms")?;
         let _query_us = t("query_us")?;
         let amortization = t("amortization")?;
@@ -281,10 +367,19 @@ pub fn validate_amortize_json(json: &str) -> Result<usize, String> {
                 "`amortization` {amortization} inconsistent with prepare/load = {expected:.4}"
             )));
         }
+        match field(e, "slab_backed").map_err(|m| ctx(&m))? {
+            Json::Bool(true) => {}
+            Json::Bool(false) => {
+                return Err(ctx(
+                    "`slab_backed` is false: the load copied instead of mmapping",
+                ))
+            }
+            _ => return Err(ctx("`slab_backed` must be a boolean")),
+        }
         match field(e, "bit_identical").map_err(|m| ctx(&m))? {
             Json::Bool(true) => {}
             Json::Bool(false) => {
-                return Err(ctx("`bit_identical` is false: the snapshot round-trip diverged"))
+                return Err(ctx("`bit_identical` is false: a derived oracle diverged"))
             }
             _ => return Err(ctx("`bit_identical` must be a boolean")),
         }
@@ -305,9 +400,11 @@ mod tests {
                 eplus: 5000,
                 snap_bytes: 150_000,
                 prepare_ms: 42.0,
+                compile_ms: 6.0,
                 load_ms: 2.0,
                 query_us: 180.0,
                 amortization: 21.0,
+                slab_backed: true,
                 bit_identical: true,
             },
             AmortRecord {
@@ -317,9 +414,11 @@ mod tests {
                 eplus: 900,
                 snap_bytes: 60_000,
                 prepare_ms: 10.0,
+                compile_ms: 2.0,
                 load_ms: 1.0,
                 query_us: 90.0,
                 amortization: 10.0,
+                slab_backed: true,
                 bit_identical: true,
             },
         ]
@@ -334,12 +433,20 @@ mod tests {
         assert_eq!(back.len(), rows.len());
         for (a, b) in rows.iter().zip(&back) {
             assert_eq!(a.family, b.family);
-            assert_eq!((a.n, a.m, a.eplus, a.snap_bytes), (b.n, b.m, b.eplus, b.snap_bytes));
+            assert_eq!(
+                (a.n, a.m, a.eplus, a.snap_bytes),
+                (b.n, b.m, b.eplus, b.snap_bytes)
+            );
+            assert!((a.compile_ms - b.compile_ms).abs() < 1e-6);
             assert!((a.amortization - b.amortization).abs() < 1e-6);
+            assert_eq!(
+                (a.slab_backed, a.bit_identical),
+                (b.slab_backed, b.bit_identical)
+            );
         }
         let view = render_amortize_table(&back);
         assert!(view.contains("grid2d"), "{view}");
-        assert!(view.contains("speedup"), "{view}");
+        assert!(view.contains("compile_ms"), "{view}");
     }
 
     #[test]
@@ -348,10 +455,17 @@ mod tests {
         assert!(validate_amortize_json("[]").is_err());
         assert!(validate_amortize_json("{\"schema\": \"other/v9\"}").is_err());
         let good = amortize_json(&sample());
-        assert!(validate_amortize_json(&good.replace("spsep-amortize/v1", "nope")).is_err());
-        // A diverging round-trip must never validate.
+        assert!(validate_amortize_json(&good.replace(SCHEMA, "nope")).is_err());
+        // The retired v1 schema is not accepted either.
+        assert!(validate_amortize_json(&good.replace(SCHEMA, "spsep-amortize/v1")).is_err());
+        // A diverging derived oracle must never validate.
         let mut rows = sample();
         rows[0].bit_identical = false;
+        assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
+        // A load that silently fell back to an owned copy must not
+        // masquerade as a zero-copy measurement.
+        let mut rows = sample();
+        rows[1].slab_backed = false;
         assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
         // Ratio inconsistent with its factors.
         let mut rows = sample();
@@ -361,6 +475,9 @@ mod tests {
         let mut rows = sample();
         rows[1].load_ms = 0.0;
         assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
+        let mut rows = sample();
+        rows[0].compile_ms = 0.0;
+        assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
         // Empty entry list / truncated document.
         let mut empty = amortize_json(&[]);
         assert!(validate_amortize_json(&empty).is_err());
@@ -369,15 +486,17 @@ mod tests {
     }
 
     #[test]
-    fn committed_artifact_validates_and_amortizes() {
+    fn committed_artifact_validates_amortizes_and_loads_faster_than_compiling() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_amortize.json");
         let json =
             std::fs::read_to_string(path).expect("BENCH_amortize.json committed at repo root");
         let entries =
-            validate_amortize_json(&json).expect("committed artifact is valid spsep-amortize/v1");
+            validate_amortize_json(&json).expect("committed artifact is valid spsep-amortize/v2");
         assert_eq!(entries, 5, "one row per family");
-        // The serving layer's claim, as measured on the committed run:
-        // loading a snapshot beats re-preprocessing on every family.
+        // The serving layer's claims, as measured on the committed run:
+        // loading a snapshot beats re-preprocessing, and the mmap load
+        // beats even recompiling the schedule from the prepared parts,
+        // on every family.
         for r in read_amortize_json(&json).unwrap() {
             assert!(
                 r.amortization > 1.0,
@@ -385,6 +504,13 @@ mod tests {
                 r.family,
                 r.load_ms,
                 r.prepare_ms
+            );
+            assert!(
+                r.load_ms < r.compile_ms,
+                "{}: load ({} ms) is not cheaper than compile ({} ms)",
+                r.family,
+                r.load_ms,
+                r.compile_ms
             );
         }
     }
@@ -394,9 +520,14 @@ mod tests {
         let (report, records) = e18_amortization(true);
         assert_eq!(records.len(), 5, "{report}");
         for r in &records {
-            assert!(r.bit_identical, "{}: snapshot round-trip diverged", r.family);
+            assert!(r.bit_identical, "{}: a derived oracle diverged", r.family);
             assert!(r.snap_bytes > 0, "{}: empty snapshot", r.family);
-            assert!(r.prepare_ms > 0.0 && r.load_ms > 0.0, "{}: empty timings", r.family);
+            assert!(
+                r.prepare_ms > 0.0 && r.compile_ms > 0.0 && r.load_ms > 0.0,
+                "{}: empty timings",
+                r.family
+            );
+            assert!(r.slab_backed, "{}: load is not slab-backed", r.family);
         }
         let json = amortize_json(&records);
         assert_eq!(validate_amortize_json(&json), Ok(5));

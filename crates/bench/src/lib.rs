@@ -11,7 +11,6 @@ pub mod families;
 mod jsonv;
 pub mod kernels;
 pub mod loadrep;
-pub mod mmap;
 pub mod obs;
 pub mod phases;
 pub mod sep;

@@ -1,17 +1,16 @@
-//! The `spsep-oracle/v2` zero-copy snapshot format.
+//! The `spsep-oracle/v2` zero-copy snapshot format — the one persisted
+//! form of a prepared instance.
 //!
-//! Where `spsep-oracle/v1` (see [`crate::io`]) serializes the *inputs*
-//! of query compilation (graph + tree + `E⁺`) and recompiles the
-//! schedule on every load, v2 persists the **compiled query state
-//! itself** — the CSR arrays of the graph, the augmented edge slab, the
-//! relaxation buckets, the phase sequence, the separator-locality rank —
-//! as aligned little-endian sections that are *borrowed* straight out
-//! of the snapshot buffer ([`spsep_graph::Slab`]). Loading validates
+//! A snapshot holds the **compiled query state itself** — the CSR
+//! arrays of the graph, the augmented edge slab, the relaxation
+//! buckets, the phase sequence, the separator-locality rank — as
+//! aligned little-endian sections that are *borrowed* straight out of
+//! the snapshot buffer ([`spsep_graph::Slab`]). Loading validates
 //! headers, checksums, and semantic invariants, then hands out views:
-//! no per-edge decode, no per-element allocation. With
-//! [`spsep_graph::SlabBytes::map_file`] the buffer is a `MAP_SHARED`
-//! read-only mapping, so any number of daemon processes serving the
-//! same snapshot share one physical page-cache copy.
+//! no per-edge decode, no per-element allocation, no schedule
+//! compilation. With [`spsep_graph::SlabBytes::map_file`] the buffer is
+//! a `MAP_SHARED` read-only mapping, so any number of daemon processes
+//! serving the same snapshot share one physical page-cache copy.
 //!
 //! # Layout
 //!
@@ -58,14 +57,17 @@
 //! | `BSRC` | `u32`             | concatenated bucket source lists           |
 //! | `BGRP` | `Group` (12 B)    | concatenated per-target reduction groups   |
 //! | `BARC` | `ArcRec<f64>`     | concatenated relaxation arcs (16 B)        |
-//! | `TREE` | bytes             | the v1 tree section payload, **opaque**    |
+//! | `TREE` | bytes             | `spsep_separator::io::tree_to_bytes`, **opaque** |
 //!
-//! The `TREE` payload is carried as-is (checksummed but not decoded at
-//! load time): queries never touch the tree, so it is only parsed
-//! lazily if the oracle is re-exported as a v1 snapshot
-//! ([`crate::oracle::Oracle::save`]). A semantically corrupt tree
-//! section therefore surfaces as a typed error at *save* time, never a
-//! panic.
+//! The `TREE` payload is carried as-is: checksummed, never decoded.
+//! Queries never touch the tree, and [`crate::oracle::Oracle::save_v2`]
+//! re-emits the bytes it loaded, so a snapshot re-saved from a loaded
+//! oracle is byte-identical to the one it came from.
+//!
+//! Version 1 of the format (a streaming codec that recompiled the
+//! schedule on every load) is retired: a file carrying its header is
+//! rejected with a typed [`SpsepError::Parse`] that says to re-run
+//! `spsep-cli prepare`.
 //!
 //! # Load-time validation
 //!
@@ -81,7 +83,6 @@
 //! rejected with typed errors instead of producing wrong answers.
 
 use crate::augment::AugmentStats;
-use crate::io::{SNAPSHOT_MAGIC, SNAPSHOT_TRAILER};
 use crate::query::Preprocessed;
 use crate::schedule::{ArcRec, Bucket, Group, Schedule};
 use crate::Algorithm;
@@ -91,8 +92,15 @@ use spsep_graph::slab::Pod;
 use spsep_graph::{DiGraph, Edge, Slab, SlabBytes, SpsepError, Store};
 use std::sync::Arc;
 
+/// File magic of an `spsep-oracle` snapshot.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPSEPORC";
+/// Trailer magic closing a snapshot (truncation sentinel).
+pub const SNAPSHOT_TRAILER: &[u8; 8] = b"SPSEPEND";
 /// Format version written and read by this module.
 pub const SNAPSHOT_VERSION_V2: u32 = 2;
+/// The retired streaming format's version word, recognized only to
+/// name it in the error.
+const SNAPSHOT_VERSION_V1: u32 = 1;
 /// Alignment (bytes) of every section payload.
 pub const SECTION_ALIGN: usize = 64;
 /// Number of sections in a v2 snapshot.
@@ -128,11 +136,11 @@ const S_TREE: usize = 13;
 
 /// A fully validated, zero-copy view of a v2 snapshot: the graph and
 /// the compiled query state borrow the snapshot buffer; the tree
-/// travels as opaque bytes (decoded lazily, see the module docs).
+/// travels as opaque bytes (never decoded, see the module docs).
 pub struct SnapshotV2 {
     /// The weighted digraph `G`, CSR arrays borrowed from the snapshot.
     pub graph: DiGraph<f64>,
-    /// The v1 `TREE` section payload, undecoded.
+    /// The `TREE` section payload, undecoded.
     pub tree_bytes: Store<u8>,
     /// Which `E⁺` construction produced the augmentation.
     pub algo: Algorithm,
@@ -205,7 +213,7 @@ fn put_edges(w: &mut ByteWriter, edges: &[Edge<f64>]) {
 
 /// Serialize a prepared instance as a canonical v2 snapshot.
 ///
-/// `tree_bytes` is the v1 tree section payload
+/// `tree_bytes` is the encoded separator tree
 /// (`spsep_separator::io::tree_to_bytes`), carried opaquely.
 ///
 /// # Errors
@@ -385,11 +393,12 @@ fn section_slab<T: Pod>(
 /// # Errors
 ///
 /// [`SpsepError::Parse`] for every form of corruption: bad magic or
-/// version, unknown algorithm, wrong section count/order, misaligned or
-/// non-canonical section offsets, tampered padding, truncation,
-/// checksum mismatch, or any semantic invariant violation (see the
-/// module docs); [`SpsepError::InvalidGraph`] if the CSR arrays are
-/// inconsistent. Never panics on hostile bytes.
+/// version (a retired v1 file included), unknown algorithm, wrong
+/// section count/order, misaligned or non-canonical section offsets,
+/// tampered padding, truncation, checksum mismatch, or any semantic
+/// invariant violation (see the module docs);
+/// [`SpsepError::InvalidGraph`] if the CSR arrays are inconsistent.
+/// Never panics on hostile bytes.
 pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepError> {
     require_little_endian("read")?;
     let buf = bytes.bytes();
@@ -401,6 +410,12 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
         ));
     }
     let version = r.u32("snapshot version")?;
+    if version == SNAPSHOT_VERSION_V1 {
+        return Err(SpsepError::parse(
+            "spsep-oracle/v1 snapshots are no longer supported; \
+             re-run `spsep-cli prepare` on the source graph to write spsep-oracle/v2",
+        ));
+    }
     if version != SNAPSHOT_VERSION_V2 {
         return Err(SpsepError::parse(format!(
             "snapshot version {version} unsupported (this reader handles v{SNAPSHOT_VERSION_V2})"
@@ -744,19 +759,6 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
     })
 }
 
-/// Sniff the format version of a snapshot prefix: `Some(version)` when
-/// the magic matches, `None` otherwise. Needs at least 12 bytes.
-pub fn sniff_version(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() >= 12 && &bytes[..8] == SNAPSHOT_MAGIC {
-        let Ok(v) = <[u8; 4]>::try_from(&bytes[8..12]) else {
-            return None;
-        };
-        Some(u32::from_le_bytes(v))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,6 +842,11 @@ mod tests {
         bad[8..12].copy_from_slice(&3u32.to_le_bytes());
         let err = load(bad).unwrap_err();
         assert!(err.to_string().contains("version 3"), "{err}");
+        // A retired v1 header names the format and the way out.
+        let mut bad = bytes.clone();
+        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = load(bad).unwrap_err();
+        assert!(err.to_string().contains("spsep-cli prepare"), "{err}");
         // Unknown algorithm.
         let mut bad = bytes.clone();
         bad[12..16].copy_from_slice(&9u32.to_le_bytes());
@@ -866,14 +873,5 @@ mod tests {
         for cut in (0..bytes.len()).step_by(131) {
             assert!(load(bytes[..cut].to_vec()).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn sniff_distinguishes_versions() {
-        let (v2, _, _) = snapshot([4, 4], 36);
-        assert_eq!(sniff_version(&v2), Some(2));
-        assert_eq!(sniff_version(b"SPSEPORC\x01\x00\x00\x00"), Some(1));
-        assert_eq!(sniff_version(b"NOTMAGIC\x02\x00\x00\x00"), None);
-        assert_eq!(sniff_version(b"SPSE"), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Bounds-checked little-endian byte codec for binary artifacts.
 //!
-//! The persistent oracle snapshot (`spsep-oracle/v1`, see
-//! `spsep_core::io`) is a hand-rolled binary format — the workspace
+//! The persistent oracle snapshot (`spsep-oracle/v2`, see
+//! `spsep_core::iov2`) is a hand-rolled binary format — the workspace
 //! vendors no serde — so every crate that contributes a section needs
 //! the same two primitives:
 //!

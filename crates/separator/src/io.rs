@@ -189,7 +189,7 @@ pub fn read_tree<R: BufRead>(input: R) -> Result<SepTree, SpsepError> {
 }
 
 /// Serialize `tree` as a self-contained binary payload (the `TREE`
-/// section of the `spsep-oracle/v1` snapshot):
+/// section of the `spsep-oracle/v2` snapshot, carried there opaquely):
 ///
 /// ```text
 /// n: u64 · num_nodes: u64

@@ -20,8 +20,6 @@ pub enum TextFormat {
     Graph,
     /// `spsep_separator::io` decomposition trees (`st` / `i` / `l`).
     Tree,
-    /// `spsep_core::io` augmentations (`ep` / `e` records).
-    Augmentation,
 }
 
 /// A named, deterministic corruption of serialized text.
@@ -128,221 +126,17 @@ pub fn text_corruptions() -> Vec<TextCorruption> {
             format: Tree,
             apply: |t| set_token(t, 0, 2, "0"),
         },
-        TextCorruption {
-            name: "augmentation: truncated file (last shortcut missing)",
-            format: Augmentation,
-            apply: drop_last_line,
-        },
-        TextCorruption {
-            name: "augmentation: NaN shortcut weight",
-            format: Augmentation,
-            apply: |t| set_token(t, 1, 3, "NaN"),
-        },
-        TextCorruption {
-            name: "augmentation: out-of-range endpoint",
-            format: Augmentation,
-            apply: |t| set_token(t, 1, 1, "999999"),
-        },
-        TextCorruption {
-            name: "augmentation: header declares more shortcuts than present",
-            format: Augmentation,
-            apply: |t| set_token(t, 0, 2, "123456"),
-        },
     ]
 }
 
-/// A named, deterministic corruption of a binary `spsep-oracle/v1`
-/// snapshot (`spsep_core::io::snapshot_from_bytes`).
+/// A named, deterministic corruption of a binary `spsep-oracle/v2`
+/// snapshot.
 pub struct SnapshotCorruption {
     /// Stable identifier (used in assertion messages).
     pub name: &'static str,
     /// The transformation, applied to a *valid* snapshot of an instance
     /// with at least one edge and one shortcut.
     pub apply: fn(&[u8]) -> Vec<u8>,
-}
-
-/// Byte offset where the snapshot's section list begins:
-/// 8 (magic) + 4 (version) + 4 (algorithm) + 4 (section count).
-const SNAPSHOT_SECTIONS_AT: usize = 20;
-
-/// Locate the `idx`-th section of a valid snapshot, apply `patch` to
-/// its payload, and **fix the stored FNV-1a checksum** — a
-/// checksum-consistent semantic patch that the integrity layer cannot
-/// catch, so the section's own validators must.
-fn patch_section(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8> {
-    let mut pos = SNAPSHOT_SECTIONS_AT;
-    for _ in 0..idx {
-        let len = section_len(bytes, pos);
-        pos += 4 + 8 + 8 + len; // tag + length + checksum + payload
-    }
-    let len = section_len(bytes, pos);
-    let payload_at = pos + 4 + 8 + 8;
-    let mut payload = bytes[payload_at..payload_at + len].to_vec();
-    patch(&mut payload);
-    assert_eq!(payload.len(), len, "patches must preserve payload length");
-    let mut out = bytes.to_vec();
-    out[payload_at..payload_at + len].copy_from_slice(&payload);
-    let sum = spsep_graph::bytes::fnv1a64(&payload);
-    out[pos + 12..pos + 20].copy_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Payload length of the section whose tag starts at `pos`.
-fn section_len(bytes: &[u8], pos: usize) -> usize {
-    let Ok(raw) = <[u8; 8]>::try_from(&bytes[pos + 4..pos + 12]) else {
-        unreachable!("slice of length 8")
-    };
-    u64::from_le_bytes(raw) as usize
-}
-
-/// All snapshot-level corruptions. Every entry must make
-/// `snapshot_from_bytes` return `Err(SpsepError::…)` — never panic,
-/// never yield a usable oracle — when applied to a valid snapshot of an
-/// instance with at least one edge and one shortcut.
-pub fn snapshot_corruptions() -> Vec<SnapshotCorruption> {
-    vec![
-        SnapshotCorruption {
-            name: "snapshot: empty file",
-            apply: |_| Vec::new(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: truncated inside the header",
-            apply: |b| b[..7.min(b.len())].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: truncated mid-payload",
-            apply: |b| b[..b.len() / 2].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: trailer missing",
-            apply: |b| b[..b.len() - 8].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: last byte missing",
-            apply: |b| b[..b.len() - 1].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: bad magic",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[0] = b'X';
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: version skew (v2 from the future)",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[8..12].copy_from_slice(&2u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: version skew (v0)",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[8..12].copy_from_slice(&0u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: unknown algorithm code",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[12..16].copy_from_slice(&77u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: wrong section count",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[16..20].copy_from_slice(&9u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: first section tag renamed",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[SNAPSHOT_SECTIONS_AT..SNAPSHOT_SECTIONS_AT + 4].copy_from_slice(b"XXXX");
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: flipped payload byte (checksum mismatch)",
-            apply: |b| {
-                let mut out = b.to_vec();
-                let mid = out.len() / 2;
-                out[mid] ^= 0xff;
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: flipped stored checksum byte",
-            apply: |b| {
-                let mut out = b.to_vec();
-                // Checksum of the first section lives right after its
-                // tag (4) and length (8).
-                out[SNAPSHOT_SECTIONS_AT + 12] ^= 0xff;
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: trailing garbage after the trailer",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out.push(0);
-                out
-            },
-        },
-        // Checksum-consistent semantic patches: the integrity layer is
-        // deliberately defeated (patch_section recomputes the FNV-1a
-        // sum), so the per-section validators are the last line of
-        // defense.
-        SnapshotCorruption {
-            name: "snapshot: graph edge endpoint out of range (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 0, |p| {
-                    // graph payload: n u64 · m u64 · edges (from at 16).
-                    p[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-                })
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: graph NaN weight (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 0, |p| {
-                    // First edge's weight at 16 + 8.
-                    p[24..32].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-                })
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: tree vertex count mismatch (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 1, |p| {
-                    // tree payload: n u64 first — now disagrees with the
-                    // graph section.
-                    let Ok(raw) = <[u8; 8]>::try_from(&p[0..8]) else {
-                        unreachable!("slice of length 8")
-                    };
-                    let n = u64::from_le_bytes(raw);
-                    p[0..8].copy_from_slice(&(n + 1).to_le_bytes());
-                })
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: shortcut endpoint out of range (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 2, |p| {
-                    // augmentation payload: d_g u32 · leaf u64 · raw u64
-                    // · count u64 · shortcuts (from at 28).
-                    p[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
-                })
-            },
-        },
-    ]
 }
 
 // ---------------------------------------------------------------------
@@ -407,11 +201,10 @@ fn patch_section_v2(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8
 /// (the first node's kind byte set to an unassigned value).
 ///
 /// Deliberately *not* part of [`snapshot_corruptions_v2`]: the v2
-/// reader borrows the tree bytes opaquely — the oracle answers
-/// distance queries without ever decoding them — so this patch loads
-/// fine and must instead surface as a typed error from
-/// `Oracle::save` (the first operation that decodes the tree). The
-/// snapshot_v2 suite asserts exactly that split.
+/// reader carries the tree bytes opaquely — checksummed, never decoded,
+/// because the oracle answers distance queries without them — so this
+/// patch loads, answers identically, and `Oracle::save_v2` re-emits it
+/// byte-exact. The snapshot_v2 suite pins exactly that.
 pub fn v2_tree_semantic_patch(bytes: &[u8]) -> Vec<u8> {
     patch_section_v2(bytes, 13, |p| {
         // Binary tree payload: n u64 · node count u64 · node 0

@@ -14,20 +14,24 @@
 //! Two corruption families:
 //!
 //! * [`corrupt::text_corruptions`] — byte/token-level damage to the
-//!   three serialization formats (`spsep_graph::io`,
-//!   `spsep_separator::io`, `spsep_core::io`), applied to a *valid*
-//!   serialized instance;
+//!   two text formats (`spsep_graph::io` graphs and
+//!   `spsep_separator::io` trees), applied to a *valid* serialized
+//!   instance;
 //! * [`corrupt::instance_corruptions`] — structural damage to in-memory
 //!   `(graph, tree)` pairs: non-separating separators, shuffled node
 //!   levels, size mismatches, absorbing cycles.
 //!
 //! A third family targets the binary serving artifact:
 //!
-//! * [`corrupt::snapshot_corruptions`] — damage to `spsep-oracle/v1`
-//!   snapshots (truncation at several depths, bad magic, version skew,
-//!   flipped payload and checksum bytes, and checksum-*consistent*
-//!   semantic patches that defeat the integrity layer so the section
-//!   validators must catch them). Driven by `tests/oracle.rs`.
+//! * [`corrupt::snapshot_corruptions_v2`] — damage to `spsep-oracle/v2`
+//!   snapshots, the one persisted form of a prepared instance
+//!   (truncation at several depths, bad magic, version skew including a
+//!   retired v1 header, non-canonical layout, flipped payload and
+//!   checksum bytes, and checksum-*consistent* semantic patches of
+//!   every section that defeat the integrity layer so the section
+//!   validators must catch them). Driven through both `Oracle::load`
+//!   and `Oracle::load_path` by the root `tests/snapshot.rs` and by
+//!   `tests/snapshot_v2.rs`.
 //!
 //! * [`corrupt::wire_corruptions`] — damage to the query daemon's
 //!   framed TCP protocol (truncated frames, oversized length prefixes,
@@ -44,7 +48,7 @@
 pub mod corrupt;
 
 pub use corrupt::{
-    import_corruptions, instance_corruptions, snapshot_corruptions, snapshot_corruptions_v2,
+    import_corruptions, instance_corruptions, snapshot_corruptions_v2,
     text_corruptions, v2_section_bounds, v2_tree_semantic_patch, wire_corruptions,
     CorruptInstance, ImportCorruption, ImportInput, SnapshotCorruption, TextCorruption,
     TextFormat, WireCorruption, WireExpectation,

@@ -4,20 +4,20 @@
 //! `tests/differential.rs`; this file pins bit-identity across
 //! *repeated runs at a fixed thread count* — the property that makes
 //! bugs reproducible — by serializing the entire observable output
-//! (the `E⁺` augmentation text plus raw distance bits) and comparing
-//! bytes. It also pins that the vendored `rand` shim's streams are a
-//! pure function of the seed, unaffected by any executor state.
+//! (the `spsep-oracle/v2` image, which carries `E⁺` and the compiled
+//! schedule, plus raw distance bits) and comparing bytes. It also pins
+//! that the vendored `rand` shim's streams are a pure function of the
+//! seed, unaffected by any executor state.
 
 use rand::{Rng, SeedableRng};
 use rayon::with_max_threads;
 use spsep_bench::families::Family;
-use spsep_core::{preprocess, Algorithm};
-use spsep_graph::semiring::Tropical;
+use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
 
 /// One full pipeline run at 4 threads, rendered to bytes: the
-/// serialized augmentation followed by the exact bit patterns of the
-/// distances from three sources.
+/// `save_v2` image followed by the exact bit patterns of the distances
+/// from three sources.
 fn run_serialized() -> Vec<u8> {
     run_serialized_at(4)
 }
@@ -27,14 +27,11 @@ fn run_serialized_at(threads: usize) -> Vec<u8> {
     let (g, tree) = Family::Grid2D.instance(256, 11);
     with_max_threads(threads, || {
         let metrics = Metrics::new();
-        let pre =
-            preprocess::<Tropical>(&g, &tree, Algorithm::LeavesUp, &metrics).expect("valid grid");
+        let oracle = Oracle::prepare(g.clone(), tree.clone(), Algorithm::LeavesUp, &metrics)
+            .expect("valid grid");
         let mut bytes = Vec::new();
-        let aug = spsep_core::Augmentation::<Tropical> {
-            eplus: pre.eplus().to_vec(),
-            stats: pre.stats(),
-        };
-        spsep_core::io::write_augmentation(g.n(), &aug, &mut bytes).expect("in-memory write");
+        oracle.save_v2(&mut bytes).expect("in-memory write");
+        let pre = oracle.preprocessed();
         for s in [0usize, g.n() / 2, g.n() - 1] {
             let (dist, _) = pre.distances_seq(s);
             for d in dist {
@@ -57,8 +54,8 @@ fn five_runs_at_four_threads_serialize_byte_identically() {
 #[test]
 fn tracing_leaves_outputs_byte_identical_at_any_thread_count() {
     // The observability layer must be purely observational: with spans
-    // recording on every level/round, the serialized augmentation and
-    // raw distance bits stay byte-for-byte what an untraced run
+    // recording on every level/round, the snapshot image and raw
+    // distance bits stay byte-for-byte what an untraced run
     // produces, at every thread count.
     let reference = run_serialized();
     spsep_trace::enable();

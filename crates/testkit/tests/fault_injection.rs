@@ -8,7 +8,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::SeedableRng;
 use spsep_baselines::dijkstra;
 use spsep_core::{preprocess_or_fallback, FallbackPolicy, SpsepError};
-use spsep_graph::semiring::Tropical;
 use spsep_graph::DiGraph;
 use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits, SepTree};
@@ -30,22 +29,16 @@ fn valid_instance() -> (DiGraph<f64>, SepTree) {
     (g, tree)
 }
 
-/// Valid serializations of one instance, in all three formats.
-fn valid_texts() -> (String, String, String) {
+/// Valid serializations of one instance, in both text formats.
+fn valid_texts() -> (String, String) {
     let (g, tree) = valid_instance();
     let mut gbuf = Vec::new();
     spsep_graph::io::write_dimacs(&g, &mut gbuf).unwrap();
     let mut tbuf = Vec::new();
     spsep_separator::io::write_tree(&tree, &mut tbuf).unwrap();
-    let metrics = Metrics::new();
-    let aug = spsep_core::alg41::augment_leaves_up::<Tropical>(&g, &tree, &metrics).unwrap();
-    assert!(!aug.eplus.is_empty(), "corruptions assume a nonempty E+");
-    let mut abuf = Vec::new();
-    spsep_core::io::write_augmentation(g.n(), &aug, &mut abuf).unwrap();
     (
         String::from_utf8(gbuf).unwrap(),
         String::from_utf8(tbuf).unwrap(),
-        String::from_utf8(abuf).unwrap(),
     )
 }
 
@@ -53,9 +46,6 @@ fn parse(format: TextFormat, text: &str) -> Result<(), SpsepError> {
     match format {
         TextFormat::Graph => spsep_graph::io::read_dimacs(text.as_bytes()).map(|_| ()),
         TextFormat::Tree => spsep_separator::io::read_tree(text.as_bytes()).map(|_| ()),
-        TextFormat::Augmentation => {
-            spsep_core::io::read_augmentation(text.as_bytes()).map(|_| ())
-        }
     }
 }
 
@@ -68,20 +58,18 @@ fn catalog_has_at_least_ten_corruption_kinds() {
 fn uncorrupted_texts_parse_cleanly() {
     // Control: the corruptions below prove something only if the
     // pristine serializations are accepted.
-    let (g, t, a) = valid_texts();
+    let (g, t) = valid_texts();
     parse(TextFormat::Graph, &g).unwrap();
     parse(TextFormat::Tree, &t).unwrap();
-    parse(TextFormat::Augmentation, &a).unwrap();
 }
 
 #[test]
 fn every_text_corruption_is_rejected_with_a_typed_error() {
-    let (gtext, ttext, atext) = valid_texts();
+    let (gtext, ttext) = valid_texts();
     for c in text_corruptions() {
         let source = match c.format {
             TextFormat::Graph => &gtext,
             TextFormat::Tree => &ttext,
-            TextFormat::Augmentation => &atext,
         };
         let corrupted = (c.apply)(source);
         assert_ne!(

@@ -1,10 +1,11 @@
 //! Property tests for the serialization layer and the fallback entry
 //! point.
 //!
-//! * **Round-trip fixed point** for all three text formats plus the
-//!   CSV ingestion format: for any instance, `write → read → write`
-//!   reproduces the first serialization byte-for-byte (so `read` loses
-//!   nothing and `write` is canonical).
+//! * **Round-trip fixed point** for both text formats, the CSV
+//!   ingestion format, and the `spsep-oracle/v2` snapshot: for any
+//!   instance, `write → read → write` reproduces the first
+//!   serialization byte-for-byte (so `read` loses nothing and `write`
+//!   is canonical).
 //! * **Distance agreement** on random grid and partial-k-tree
 //!   instances: `preprocess_or_fallback` (fast path on these valid
 //!   inputs) agrees with Dijkstra everywhere, and keeps agreeing when a
@@ -13,8 +14,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use spsep_baselines::dijkstra;
-use spsep_core::{preprocess_or_fallback, FallbackPolicy};
-use spsep_graph::semiring::Tropical;
+use spsep_core::{preprocess_or_fallback, Algorithm, FallbackPolicy, Oracle};
 use spsep_graph::DiGraph;
 use spsep_pram::Metrics;
 use spsep_separator::{builders, treewidth, RecursionLimits, SepTree};
@@ -107,21 +107,19 @@ proptest! {
     }
 
     #[test]
-    fn augmentation_write_read_write_is_a_fixed_point(
+    fn snapshot_v2_save_load_save_is_a_fixed_point(
         rows in 3usize..8,
         cols in 3usize..8,
         seed in 0u64..1_000_000,
     ) {
         let (g, tree) = grid_instance(rows, cols, seed);
-        let metrics = Metrics::new();
-        let aug = spsep_core::alg41::augment_leaves_up::<Tropical>(&g, &tree, &metrics)
-            .unwrap();
+        let oracle = Oracle::prepare(g, tree, Algorithm::LeavesUp, &Metrics::new()).unwrap();
         let mut first = Vec::new();
-        spsep_core::io::write_augmentation(g.n(), &aug, &mut first).unwrap();
-        let (n, back) = spsep_core::io::read_augmentation(first.as_slice()).unwrap();
-        prop_assert_eq!(n, g.n());
+        oracle.save_v2(&mut first).unwrap();
+        let back = Oracle::load(first.as_slice()).unwrap();
+        prop_assert_eq!(back.n(), oracle.n());
         let mut second = Vec::new();
-        spsep_core::io::write_augmentation(n, &back, &mut second).unwrap();
+        back.save_v2(&mut second).unwrap();
         prop_assert_eq!(first, second);
     }
 
