@@ -14,42 +14,38 @@
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e19 --serve-out BENCH_serve.json         # daemon chaos-load bench
 //! cargo run --release -p spsep-bench --bin tables -- \
-//!     e21 --simd-out BENCH_simd.json           # scalar-vs-SIMD kernels
-//! cargo run --release -p spsep-bench --bin tables -- \
 //!     e22 --obs-out BENCH_obs.json             # telemetry overhead
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e23 --sep-out BENCH_sep.json             # road-network separators
 //! ```
 //!
 //! Experiment ids: e1 e2 e3 e4 e5 fig1 fig2 e8 e9 e10 e11 e12 e13 e14
-//! e15 e16 e17 e18 e19 e21 e22 e23 check
+//! e15 e16 e17 e18 e19 e22 e23 check
 //! (see DESIGN.md §4 for the paper-artifact mapping).
 //!
 //! Flags: `--kernels-out <path>` writes the validated
-//! `spsep-kernel-bench/v1` JSON artifact of E16; `--phases-out <path>`
+//! `spsep-kernel-bench/v2` JSON artifact of E16; `--phases-out <path>`
 //! writes the `spsep-phase-bench/v1` artifact of E17; `--phases-in
 //! <path>` renders E17 from a committed artifact instead of
 //! re-measuring; `--amortize-out <path>` / `--amortize-in <path>` do the
 //! same for E18's `spsep-amortize/v2` oracle-snapshot benchmark;
 //! `--serve-out <path>` / `--serve-in <path>` for E19's
-//! `spsep-serve-bench/v1` daemon chaos-load benchmark; `--simd-out
-//! <path>` / `--simd-in <path>` for E21's `spsep-simd-bench/v1`
-//! scalar-vs-SIMD kernel benchmark; `--obs-out <path>` / `--obs-in
-//! <path>` for E22's `spsep-obs-bench/v1` telemetry-overhead
-//! benchmark; `--sep-out <path>` / `--sep-in <path>` for E23's
+//! `spsep-serve-bench/v1` daemon chaos-load benchmark; `--obs-out
+//! <path>` / `--obs-in <path>` for E22's `spsep-obs-bench/v1`
+//! telemetry-overhead benchmark; `--sep-out <path>` / `--sep-in <path>` for E23's
 //! `spsep-sep-bench/v1` road-network separator-quality benchmark;
-//! `--smoke` shrinks E16/E17/E18/E19/E21/E22/E23 to CI-sized
+//! `--smoke` shrinks E16/E17/E18/E19/E22/E23 to CI-sized
 //! instances.
 //!
 //! Unknown experiment ids and flags are reported with the valid set —
 //! never a bare panic.
 
-use spsep_bench::{amortize, experiments, kernels, obs, phases, sep, serve, simd};
+use spsep_bench::{amortize, experiments, kernels, obs, phases, sep, serve};
 
 /// Every experiment id `tables` understands, in presentation order.
 const VALID_IDS: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "fig1", "fig2", "e8", "e9", "e10", "e11", "e12", "e13",
-    "e14", "e15", "e16", "e17", "e18", "e19", "e21", "e22", "e23", "check", "all",
+    "e14", "e15", "e16", "e17", "e18", "e19", "e22", "e23", "check", "all",
 ];
 
 fn fail(msg: &str) -> ! {
@@ -58,7 +54,7 @@ fn fail(msg: &str) -> ! {
         "usage: tables [ids...] [--smoke] [--kernels-out p] [--phases-out p] \
          [--phases-in p] [--amortize-out p] [--amortize-in p] \
          [--serve-out p] [--serve-in p] \
-         [--simd-out p] [--simd-in p] [--obs-out p] [--obs-in p] \
+         [--obs-out p] [--obs-in p] \
          [--sep-out p] [--sep-in p]\n\
          valid ids: {}",
         VALID_IDS.join(" ")
@@ -92,8 +88,6 @@ fn main() {
     let mut amortize_in: Option<String> = None;
     let mut serve_out: Option<String> = None;
     let mut serve_in: Option<String> = None;
-    let mut simd_out: Option<String> = None;
-    let mut simd_in: Option<String> = None;
     let mut obs_out: Option<String> = None;
     let mut obs_in: Option<String> = None;
     let mut sep_out: Option<String> = None;
@@ -110,8 +104,6 @@ fn main() {
             "--amortize-in" => amortize_in = Some(flag_value(&mut it, "--amortize-in")),
             "--serve-out" => serve_out = Some(flag_value(&mut it, "--serve-out")),
             "--serve-in" => serve_in = Some(flag_value(&mut it, "--serve-in")),
-            "--simd-out" => simd_out = Some(flag_value(&mut it, "--simd-out")),
-            "--simd-in" => simd_in = Some(flag_value(&mut it, "--simd-in")),
             "--obs-out" => obs_out = Some(flag_value(&mut it, "--obs-out")),
             "--obs-in" => obs_in = Some(flag_value(&mut it, "--obs-in")),
             "--sep-out" => sep_out = Some(flag_value(&mut it, "--sep-out")),
@@ -188,7 +180,7 @@ fn main() {
         println!("{hr}\n{report}");
         assert!(
             records.iter().all(|r| r.bit_identical),
-            "blocked kernels diverged from naive — determinism contract broken"
+            "production kernels diverged from naive — determinism contract broken"
         );
         let json = kernels::kernels_json(&records);
         let entries = kernels::validate_kernels_json(&json)
@@ -265,33 +257,6 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("serve artifact failed validation: {e}")));
             if let Some(path) = &serve_out {
                 write_or_fail(path, &json, "serve artifact");
-                eprintln!("[tables] wrote {path} ({entries} entries)");
-            }
-        }
-    }
-    if want("e21") || simd_out.is_some() || simd_in.is_some() {
-        if let Some(path) = &simd_in {
-            let json = read_or_fail(path, "simd artifact");
-            let records = simd::read_simd_json(&json)
-                .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-            println!(
-                "{hr}\nE21 — scalar-vs-SIMD kernels from {path} ({} entries):\n\n{}",
-                records.len(),
-                simd::render_simd_table(&records)
-            );
-        } else {
-            let (report, records) = simd::e21_simd_speedup(smoke);
-            println!("{hr}\n{report}");
-            assert!(
-                records.iter().all(|r| r.bit_identical),
-                "SIMD kernels diverged from blocked scalar — determinism \
-                 contract broken"
-            );
-            let json = simd::simd_json(&records);
-            let entries = simd::validate_simd_json(&json)
-                .unwrap_or_else(|e| fail(&format!("simd artifact failed validation: {e}")));
-            if let Some(path) = &simd_out {
-                write_or_fail(path, &json, "simd artifact");
                 eprintln!("[tables] wrote {path} ({entries} entries)");
             }
         }

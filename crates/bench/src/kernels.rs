@@ -1,5 +1,13 @@
-//! E16 — naive-vs-blocked kernel wall-clock, plus the
-//! `BENCH_kernels.json` artifact (schema `spsep-kernel-bench/v1`).
+//! E16 — naive reference vs production dense kernel wall-clock, plus the
+//! `BENCH_kernels.json` artifact (schema `spsep-kernel-bench/v2`).
+//!
+//! The baseline is the untiled reference kernel
+//! ([`SemiMatrix::floyd_warshall_naive`] / [`SemiMatrix::square_step_naive`]);
+//! the candidate is the production kernel the pipeline runs
+//! ([`SemiMatrix::floyd_warshall`] / [`SemiMatrix::square_step`]), with the
+//! relax primitive the host selects. The artifact records that selection
+//! (`dispatch`), so a scalar host's row is labelled as such. Every run
+//! re-checks that both produce byte-for-byte identical matrices.
 //!
 //! The workspace has no serde, so the artifact is written with `format!`
 //! and checked by the hand-rolled parser of `jsonv` (the crate-private mini JSON parser); the
@@ -9,9 +17,12 @@
 use crate::families::Family;
 use crate::jsonv::{field, parse_json, Json};
 use crate::{fmt_f, Table};
-use spsep_graph::dense::SemiMatrix;
+use spsep_graph::dense::{simd, simd_active, KernelOutcome, SemiMatrix};
 use spsep_graph::semiring::Tropical;
 use std::time::Instant;
+
+/// Schema tag of the E16 artifact.
+const SCHEMA: &str = "spsep-kernel-bench/v2";
 
 /// One measured (family, n, kernel) point.
 pub struct KernelRecord {
@@ -21,19 +32,29 @@ pub struct KernelRecord {
     pub n: usize,
     /// `floyd_warshall` or `square_step`.
     pub kernel: &'static str,
-    /// Median wall-clock of the naive kernel, milliseconds.
+    /// Median wall-clock of the naive reference kernel, milliseconds.
     pub naive_ms: f64,
-    /// Median wall-clock of the blocked kernel, milliseconds.
-    pub blocked_ms: f64,
-    /// `naive_ms / blocked_ms`.
+    /// Median wall-clock of the production kernel, milliseconds.
+    pub kernel_ms: f64,
+    /// `naive_ms / kernel_ms`.
     pub speedup: f64,
     /// Result matrices byte-for-byte equal on every run.
     pub bit_identical: bool,
 }
 
+/// The relax primitive the production kernels select for `Tropical` on
+/// this host: `avx512`, `avx2`, or `scalar` (no vector level, or the
+/// `simd` feature compiled out).
+fn dispatch_name() -> &'static str {
+    match simd::detect() {
+        Some(level) if simd_active::<Tropical>() => level.name(),
+        _ => "scalar",
+    }
+}
+
 /// Densify the first `size` vertices of a family instance into a
 /// tropical matrix (identity diagonal, edge weights elsewhere).
-pub(crate) fn dense_from_family(family: Family, size: usize, seed: u64) -> SemiMatrix<Tropical> {
+fn dense_from_family(family: Family, size: usize, seed: u64) -> SemiMatrix<Tropical> {
     // Request twice the target so every family (notably 3-D grids, which
     // round to a cube) yields at least `size` vertices.
     let (g, _) = family.instance(size * 2, seed);
@@ -50,21 +71,51 @@ pub(crate) fn dense_from_family(family: Family, size: usize, seed: u64) -> SemiM
     m
 }
 
-pub(crate) fn median(mut v: Vec<f64>) -> f64 {
+fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
 }
 
-pub(crate) fn same_bits(a: &SemiMatrix<Tropical>, b: &SemiMatrix<Tropical>) -> bool {
+fn same_bits(a: &SemiMatrix<Tropical>, b: &SemiMatrix<Tropical>) -> bool {
     a.data()
         .iter()
         .zip(b.data())
         .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// E16 — single-thread wall-clock of the blocked kernels against their
-/// naive references, per family. Returns the rendered report plus the
-/// raw records for the JSON artifact.
+/// A dense kernel entry point, as timed by E16.
+type Kernel = fn(&mut SemiMatrix<Tropical>) -> KernelOutcome;
+
+/// Median wall-clock of `naive` and `kernel`, each run `runs` times on a
+/// fresh clone of `base` inside `pool`, plus whether every pair of
+/// results was byte-for-byte equal.
+fn time_pair(
+    pool: &rayon::ThreadPool,
+    base: &SemiMatrix<Tropical>,
+    runs: usize,
+    naive: Kernel,
+    kernel: Kernel,
+) -> (f64, f64, bool) {
+    let mut naive_ms = Vec::new();
+    let mut kernel_ms = Vec::new();
+    let mut bits = true;
+    for _ in 0..runs {
+        let mut a = base.clone();
+        let t0 = Instant::now();
+        pool.install(|| naive(&mut a));
+        naive_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let mut b = base.clone();
+        let t0 = Instant::now();
+        pool.install(|| kernel(&mut b));
+        kernel_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        bits &= same_bits(&a, &b);
+    }
+    (median(naive_ms), median(kernel_ms), bits)
+}
+
+/// E16 — single-thread wall-clock of the production kernels against
+/// their naive references, per family. Returns the rendered report plus
+/// the raw records for the JSON artifact.
 ///
 /// `smoke` shrinks sizes and run counts so CI can exercise the full
 /// pipeline (measure → serialize → validate) in seconds.
@@ -80,71 +131,45 @@ pub fn e16_kernel_speedup(smoke: bool) -> (String, Vec<KernelRecord>) {
         for &size in sizes {
             let base = dense_from_family(family, size, 11);
             let n = base.n();
-
-            // Full closure: naive FW vs k-tiled FW.
-            let mut fw_naive = Vec::new();
-            let mut fw_blocked = Vec::new();
-            let mut fw_bits = true;
-            for _ in 0..runs {
-                let mut a = base.clone();
-                let t0 = Instant::now();
-                pool.install(|| a.floyd_warshall_naive());
-                fw_naive.push(t0.elapsed().as_secs_f64() * 1e3);
-                let mut b = base.clone();
-                let t0 = Instant::now();
-                pool.install(|| b.floyd_warshall());
-                fw_blocked.push(t0.elapsed().as_secs_f64() * 1e3);
-                fw_bits &= same_bits(&a, &b);
+            let kernels: [(&'static str, Kernel, Kernel); 2] = [
+                (
+                    "floyd_warshall",
+                    SemiMatrix::floyd_warshall_naive,
+                    SemiMatrix::floyd_warshall,
+                ),
+                (
+                    "square_step",
+                    SemiMatrix::square_step_naive,
+                    SemiMatrix::square_step,
+                ),
+            ];
+            for (kernel, naive, production) in kernels {
+                let (naive_ms, kernel_ms, bit_identical) =
+                    time_pair(&pool, &base, runs, naive, production);
+                records.push(KernelRecord {
+                    family: family.slug(),
+                    n,
+                    kernel,
+                    naive_ms,
+                    kernel_ms,
+                    speedup: naive_ms / kernel_ms.max(1e-9),
+                    bit_identical,
+                });
             }
-            let (nm, bm) = (median(fw_naive), median(fw_blocked));
-            records.push(KernelRecord {
-                family: family.slug(),
-                n,
-                kernel: "floyd_warshall",
-                naive_ms: nm,
-                blocked_ms: bm,
-                speedup: nm / bm.max(1e-9),
-                bit_identical: fw_bits,
-            });
-
-            // One doubling step: clone-per-call naive vs transpose-packed.
-            let mut sq_naive = Vec::new();
-            let mut sq_blocked = Vec::new();
-            let mut sq_bits = true;
-            for _ in 0..runs {
-                let mut a = base.clone();
-                let t0 = Instant::now();
-                pool.install(|| a.square_step_naive());
-                sq_naive.push(t0.elapsed().as_secs_f64() * 1e3);
-                let mut b = base.clone();
-                let t0 = Instant::now();
-                pool.install(|| b.square_step());
-                sq_blocked.push(t0.elapsed().as_secs_f64() * 1e3);
-                sq_bits &= same_bits(&a, &b);
-            }
-            let (nm, bm) = (median(sq_naive), median(sq_blocked));
-            records.push(KernelRecord {
-                family: family.slug(),
-                n,
-                kernel: "square_step",
-                naive_ms: nm,
-                blocked_ms: bm,
-                speedup: nm / bm.max(1e-9),
-                bit_identical: sq_bits,
-            });
         }
     }
 
     let mut out = format!(
-        "E16 — blocked vs naive kernel wall-clock, single thread (median \
-         of {runs} run(s), sizes {sizes:?}). `floyd_warshall` is the \
-         k-tiled order-preserving schedule; `square_step` multiplies \
-         against a packed transpose with per-tile change flags. The \
-         `bitident` column asserts the determinism contract: blocked \
-         results are byte-for-byte the naive results.\n\n",
+        "E16 — production vs naive kernel wall-clock, single thread (median \
+         of {runs} run(s), sizes {sizes:?}, relax `{}`). `floyd_warshall` \
+         is the k-tiled order-preserving schedule; `square_step` is the \
+         relax form (`ikj`) with per-tile change flags. The `bitident` \
+         column asserts the determinism contract: production results are \
+         byte-for-byte the naive results.\n\n",
+        dispatch_name(),
     );
     let mut t = Table::new(&[
-        "family", "n", "kernel", "naive_ms", "blocked_ms", "speedup", "bitident",
+        "family", "n", "kernel", "naive_ms", "kernel_ms", "speedup", "bitident",
     ]);
     for r in &records {
         t.row(vec![
@@ -152,7 +177,7 @@ pub fn e16_kernel_speedup(smoke: bool) -> (String, Vec<KernelRecord>) {
             r.n.to_string(),
             r.kernel.into(),
             fmt_f(r.naive_ms),
-            fmt_f(r.blocked_ms),
+            fmt_f(r.kernel_ms),
             format!("{:.2}x", r.speedup),
             if r.bit_identical { "yes" } else { "NO" }.into(),
         ]);
@@ -162,7 +187,7 @@ pub fn e16_kernel_speedup(smoke: bool) -> (String, Vec<KernelRecord>) {
         let span = |kernel: &str| {
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
-            for r in records.iter().filter(|r| r.kernel == kernel && r.n >= 256) {
+            for r in records.iter().filter(|r| r.kernel == kernel) {
                 lo = lo.min(r.speedup);
                 hi = hi.max(r.speedup);
             }
@@ -171,38 +196,30 @@ pub fn e16_kernel_speedup(smoke: bool) -> (String, Vec<KernelRecord>) {
         let (fw_lo, fw_hi) = span("floyd_warshall");
         let (sq_lo, sq_hi) = span("square_step");
         out.push_str(&format!(
-            "\nAcceptance note: the target was >= 1.30x blocked-vs-naive \
-             floyd_warshall at n >= 256; this host measures \
-             {fw_lo:.2}x-{fw_hi:.2}x (square_step: {sq_lo:.2}x-{sq_hi:.2}x). \
-             The FW target is not reached here: on this single-vCPU box the \
-             naive schedule already streams the matrix from the last-level \
-             cache at full bandwidth, so tiling only converts cache misses \
-             that never happen; the win grows with matrix density and size \
-             (best case is the densest family at the largest n) and with \
-             core count, where the tiled outer phase hands out \
-             row-chunk x k-tile blocks instead of single rows. The numbers \
-             above are the honest medians either way.\n"
+            "\nSpeedup over naive on this host: floyd_warshall \
+             {fw_lo:.2}x-{fw_hi:.2}x, square_step {sq_lo:.2}x-{sq_hi:.2}x.\n"
         ));
     }
     (out, records)
 }
 
-/// Serialize records as `spsep-kernel-bench/v1` JSON.
+/// Serialize records as `spsep-kernel-bench/v2` JSON.
 pub fn kernels_json(records: &[KernelRecord]) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut s = String::from("{\n  \"schema\": \"spsep-kernel-bench/v1\",\n");
+    let mut s = format!("{{\n  \"schema\": \"{SCHEMA}\",\n");
     s.push_str(&format!("  \"host_cores\": {cores},\n"));
+    s.push_str(&format!("  \"dispatch\": \"{}\",\n", dispatch_name()));
     s.push_str("  \"threads\": 1,\n  \"entries\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"family\": \"{}\", \"n\": {}, \"kernel\": \"{}\", \
-             \"naive_ms\": {:.4}, \"blocked_ms\": {:.4}, \
+             \"naive_ms\": {:.4}, \"kernel_ms\": {:.4}, \
              \"speedup\": {:.4}, \"bit_identical\": {}}}{}\n",
             r.family,
             r.n,
             r.kernel,
             r.naive_ms,
-            r.blocked_ms,
+            r.kernel_ms,
             r.speedup,
             r.bit_identical,
             if i + 1 == records.len() { "" } else { "," },
@@ -212,20 +229,28 @@ pub fn kernels_json(records: &[KernelRecord]) -> String {
     s
 }
 
-/// Validate a `spsep-kernel-bench/v1` document. Returns the entry count.
+/// Validate a `spsep-kernel-bench/v2` document. Returns the entry count.
 ///
-/// Checks structure and types, entry-level invariants (known kernel
-/// names, positive `n`, non-negative times, finite positive speedup),
-/// and that at least one entry is present. Truth of `bit_identical` is a
-/// *result*, not a schema property, so it is type-checked here and
-/// asserted by the `tables` binary instead.
+/// Checks structure and types, the `dispatch` value, entry-level
+/// invariants (known kernel names, positive `n`, non-negative times,
+/// finite positive speedup), and that at least one entry is present.
+/// Truth of `bit_identical` is a *result*, not a schema property, so it
+/// is type-checked here and asserted by the `tables` binary instead.
 pub fn validate_kernels_json(json: &str) -> Result<usize, String> {
     let Json::Obj(top) = parse_json(json)? else {
         return Err("top level must be an object".into());
     };
     match field(&top, "schema")? {
-        Json::Str(s) if s == "spsep-kernel-bench/v1" => {}
+        Json::Str(s) if s == SCHEMA => {}
         other => return Err(format!("bad schema field: {other:?}")),
+    }
+    match field(&top, "dispatch")? {
+        Json::Str(s) if ["scalar", "avx2", "avx512"].contains(&s.as_str()) => {}
+        other => {
+            return Err(format!(
+                "`dispatch` must be scalar, avx2 or avx512: {other:?}"
+            ))
+        }
     }
     for key in ["host_cores", "threads"] {
         let Json::Num(v) = field(&top, key)? else {
@@ -258,17 +283,24 @@ pub fn validate_kernels_json(json: &str) -> Result<usize, String> {
             Json::Num(v) if *v >= 1.0 && v.fract() == 0.0 => {}
             _ => return Err(ctx("`n` must be a positive integer")),
         }
-        for key in ["naive_ms", "blocked_ms"] {
+        for key in ["naive_ms", "kernel_ms"] {
             match field(e, key).map_err(|m| ctx(&m))? {
                 Json::Num(v) if *v >= 0.0 && v.is_finite() => {}
-                _ => return Err(ctx(&format!("`{key}` must be a finite non-negative number"))),
+                _ => {
+                    return Err(ctx(&format!(
+                        "`{key}` must be a finite non-negative number"
+                    )))
+                }
             }
         }
         match field(e, "speedup").map_err(|m| ctx(&m))? {
             Json::Num(v) if *v > 0.0 && v.is_finite() => {}
             _ => return Err(ctx("`speedup` must be a finite positive number")),
         }
-        if !matches!(field(e, "bit_identical").map_err(|m| ctx(&m))?, Json::Bool(_)) {
+        if !matches!(
+            field(e, "bit_identical").map_err(|m| ctx(&m))?,
+            Json::Bool(_)
+        ) {
             return Err(ctx("`bit_identical` must be a bool"));
         }
     }
@@ -285,7 +317,7 @@ mod tests {
             n: 64,
             kernel: "floyd_warshall",
             naive_ms: 2.5,
-            blocked_ms: 1.5,
+            kernel_ms: 1.5,
             speedup: 2.5 / 1.5,
             bit_identical: true,
         }]
@@ -303,7 +335,16 @@ mod tests {
         assert!(validate_kernels_json("[]").is_err());
         assert!(validate_kernels_json("{\"schema\": \"other/v9\"}").is_err());
         // Wrong schema string.
-        let bad = kernels_json(&sample()).replace("spsep-kernel-bench/v1", "nope");
+        let bad = kernels_json(&sample()).replace(SCHEMA, "nope");
+        assert!(validate_kernels_json(&bad).is_err());
+        // Retired v1 schema.
+        let bad = kernels_json(&sample()).replace(SCHEMA, "spsep-kernel-bench/v1");
+        assert!(validate_kernels_json(&bad).is_err());
+        // Unknown dispatch.
+        let bad = kernels_json(&sample()).replace(
+            &format!("\"dispatch\": \"{}\"", dispatch_name()),
+            "\"dispatch\": \"sse9\"",
+        );
         assert!(validate_kernels_json(&bad).is_err());
         // Unknown kernel name.
         let bad = kernels_json(&sample()).replace("floyd_warshall", "strassen");
@@ -319,10 +360,16 @@ mod tests {
     #[test]
     fn validator_accepts_reordered_keys_and_whitespace() {
         let json = "{\"threads\":1,\"entries\":[{\"bit_identical\":false,\
-                     \"speedup\":0.9,\"blocked_ms\":1.0,\"naive_ms\":0.9,\
+                     \"speedup\":0.9,\"kernel_ms\":1.0,\"naive_ms\":0.9,\
                      \"n\":32,\"kernel\":\"square_step\",\"family\":\"tree\"}],\
-                     \"host_cores\":4,\"schema\":\"spsep-kernel-bench/v1\"}";
+                     \"host_cores\":4,\"dispatch\":\"scalar\",\
+                     \"schema\":\"spsep-kernel-bench/v2\"}";
         assert_eq!(validate_kernels_json(json), Ok(1));
+    }
+
+    #[test]
+    fn dispatch_name_matches_simd_active() {
+        assert_eq!(dispatch_name() == "scalar", !simd_active::<Tropical>());
     }
 
     #[test]
@@ -330,8 +377,8 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
         let json =
             std::fs::read_to_string(path).expect("BENCH_kernels.json committed at repo root");
-        let entries =
-            validate_kernels_json(&json).expect("committed artifact is valid spsep-kernel-bench/v1");
+        let entries = validate_kernels_json(&json)
+            .expect("committed artifact is valid spsep-kernel-bench/v2");
         // 5 families x 3 sizes x 2 kernels.
         assert_eq!(entries, 30);
     }

@@ -15,7 +15,6 @@ pub mod obs;
 pub mod phases;
 pub mod sep;
 pub mod serve;
-pub mod simd;
 
 /// Fixed-width table printer for experiment output.
 pub struct Table {

@@ -32,7 +32,7 @@ use crate::augment::{
 use crate::workspace::WorkspacePool;
 use crate::AbsorbingCycle;
 use rayon::prelude::*;
-use spsep_graph::dense::{select_kernel, SemiMatrix};
+use spsep_graph::dense::SemiMatrix;
 use spsep_graph::{DiGraph, Edge, Semiring};
 use spsep_pram::{Counter, Metrics, PhaseRecord};
 use spsep_separator::SepTree;
@@ -137,10 +137,7 @@ pub fn augment_path_doubling<S: Semiring>(
         })
         .collect();
 
-    // Step ii: the doubling rounds. The dense kernel tier (scalar vs
-    // SIMD) is resolved once for the whole doubling phase, not per round
-    // or per node.
-    let kernel = select_kernel::<S>();
+    // Step ii: the doubling rounds.
     let max_rounds = 2 * (usize::BITS - g.n().max(2).leading_zeros()) as usize
         + 2 * tree.height() as usize
         + 2;
@@ -152,10 +149,7 @@ pub fn augment_path_doubling<S: Semiring>(
         let round_work_before = metrics.total_work();
         // ii(1): squaring, all nodes at once.
         metrics.phase(num_nodes);
-        let outcomes: Vec<_> = mats
-            .par_iter_mut()
-            .map(|m| kernel.square_step(m))
-            .collect();
+        let outcomes: Vec<_> = mats.par_iter_mut().map(|m| m.square_step()).collect();
         let mut changed = false;
         for o in outcomes {
             metrics.work(Counter::Doubling, o.ops);

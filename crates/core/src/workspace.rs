@@ -19,7 +19,7 @@
 //! result bit. The pool's `Mutex` only orders the free list.
 
 use spsep_baselines::SemiringSsspScratch;
-use spsep_graph::dense::{select_kernel, MinPlusKernel, SemiMatrix};
+use spsep_graph::dense::SemiMatrix;
 use spsep_graph::Semiring;
 use std::sync::Mutex;
 
@@ -31,11 +31,6 @@ pub struct NodeWorkspace<S: Semiring> {
     /// internal nodes). Owns its own kernel scratch, so repeated
     /// Floyd–Warshall calls are allocation-free too.
     pub(crate) dense: SemiMatrix<S>,
-    /// Dense kernel tier, resolved once when the workspace is created
-    /// (feature detection + semiring dispatch happen here, not per node).
-    /// Kernels are stateless ZSTs, so sharing the `'static` reference
-    /// across workers is free and cannot affect result bits.
-    pub(crate) kernel: &'static dyn MinPlusKernel<S>,
     /// Global ids of the node's separator vertices.
     pub(crate) sep_verts: Vec<u32>,
     /// Global ids of the node's boundary vertices.
@@ -66,7 +61,6 @@ impl<S: Semiring> Default for NodeWorkspace<S> {
     fn default() -> Self {
         NodeWorkspace {
             dense: SemiMatrix::empty(0),
-            kernel: select_kernel::<S>(),
             sep_verts: Vec::new(),
             bnd_verts: Vec::new(),
             r: Vec::new(),

@@ -63,49 +63,12 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Human-readable name, used by kernel reports and the E21 bench.
+    /// Human-readable name, used by kernel reports and the E16 bench.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
         }
-    }
-}
-
-/// Parsed value of the `SPSEP_SIMD` environment override.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SimdOverride {
-    /// Force the scalar kernels (`off`, `0`, `scalar`, `none`).
-    Off,
-    /// Cap at 256-bit lanes even if AVX-512F is available (`avx2`).
-    Avx2,
-    /// Allow up to 512-bit lanes (`avx512`); still capped by the CPU.
-    Avx512,
-    /// Use the widest level the CPU supports (`auto`, the default).
-    Auto,
-}
-
-/// Parse an `SPSEP_SIMD` value. Returns `None` for unrecognized input
-/// (the caller treats that as [`SimdOverride::Auto`] — a library must not
-/// panic on untrusted environment).
-pub fn parse_simd_override(raw: &str) -> Option<SimdOverride> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "scalar" | "none" => Some(SimdOverride::Off),
-        "avx2" => Some(SimdOverride::Avx2),
-        "avx512" => Some(SimdOverride::Avx512),
-        "auto" | "" => Some(SimdOverride::Auto),
-        _ => None,
-    }
-}
-
-/// Combine a parsed override with the probed hardware level. Pure, so the
-/// policy is unit-testable without touching the process environment.
-pub(crate) fn resolve(req: SimdOverride, hw: Option<SimdLevel>) -> Option<SimdLevel> {
-    match req {
-        SimdOverride::Off => None,
-        SimdOverride::Auto => hw,
-        SimdOverride::Avx2 => hw.map(|h| h.min(SimdLevel::Avx2)),
-        SimdOverride::Avx512 => hw.map(|h| h.min(SimdLevel::Avx512)),
     }
 }
 
@@ -130,21 +93,11 @@ fn probe() -> Option<SimdLevel> {
 
 static DETECTED: OnceLock<Option<SimdLevel>> = OnceLock::new();
 
-/// The SIMD level the dense kernels will use, or `None` for scalar.
-///
-/// Runtime CPU detection combined with the `SPSEP_SIMD` environment
-/// override (`off` / `avx2` / `avx512` / `auto`; an override can only
-/// *cap* the probed level, never exceed it, so a stale `SPSEP_SIMD=avx512`
-/// on an AVX2-only host degrades gracefully instead of faulting).
-/// Evaluated once per process and cached.
+/// The SIMD level the dense kernels will use, or `None` for scalar: the
+/// widest level the running CPU supports (AVX-512F, else AVX2). A pure
+/// function of the CPU and the build, probed once per process and cached.
 pub fn detect() -> Option<SimdLevel> {
-    *DETECTED.get_or_init(|| {
-        let req = std::env::var("SPSEP_SIMD")
-            .ok()
-            .and_then(|v| parse_simd_override(&v))
-            .unwrap_or(SimdOverride::Auto);
-        resolve(req, probe())
-    })
+    *DETECTED.get_or_init(probe)
 }
 
 /// Portable scalar reference for one relax over `f64` lanes — the
@@ -399,39 +352,6 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_override_accepts_documented_spellings() {
-        assert_eq!(parse_simd_override("off"), Some(SimdOverride::Off));
-        assert_eq!(parse_simd_override("0"), Some(SimdOverride::Off));
-        assert_eq!(parse_simd_override("Scalar"), Some(SimdOverride::Off));
-        assert_eq!(parse_simd_override("none"), Some(SimdOverride::Off));
-        assert_eq!(parse_simd_override("AVX2"), Some(SimdOverride::Avx2));
-        assert_eq!(parse_simd_override(" avx512 "), Some(SimdOverride::Avx512));
-        assert_eq!(parse_simd_override("auto"), Some(SimdOverride::Auto));
-        assert_eq!(parse_simd_override(""), Some(SimdOverride::Auto));
-        assert_eq!(parse_simd_override("avx1024"), None);
-    }
-
-    #[test]
-    fn resolve_caps_requests_by_hardware() {
-        assert_eq!(resolve(SimdOverride::Off, Some(SimdLevel::Avx512)), None);
-        assert_eq!(
-            resolve(SimdOverride::Auto, Some(SimdLevel::Avx512)),
-            Some(SimdLevel::Avx512)
-        );
-        assert_eq!(resolve(SimdOverride::Auto, None), None);
-        // A request can cap but never exceed the probed level.
-        assert_eq!(
-            resolve(SimdOverride::Avx2, Some(SimdLevel::Avx512)),
-            Some(SimdLevel::Avx2)
-        );
-        assert_eq!(
-            resolve(SimdOverride::Avx512, Some(SimdLevel::Avx2)),
-            Some(SimdLevel::Avx2)
-        );
-        assert_eq!(resolve(SimdOverride::Avx512, None), None);
-    }
 
     /// Hostile lane values: signed zeros, infinities (so `extend` can
     /// manufacture NaN via `∞ + (−∞)`), denormals, and negatives.

@@ -48,9 +48,7 @@ pub mod traversal;
 pub mod unionfind;
 
 pub use bitmatrix::BitMatrix;
-pub use dense::{
-    select_kernel, simd_active, BlockedKernel, MinPlusKernel, NaiveKernel, SemiMatrix, SimdKernel,
-};
+pub use dense::{simd_active, SemiMatrix};
 pub use digraph::{DiGraph, Edge};
 pub use error::SpsepError;
 pub use order::NodeOrder;

@@ -120,7 +120,7 @@ proptest! {
     }
 
     #[test]
-    fn blocked_fw_bit_identical_to_naive(
+    fn tiled_fw_bit_identical_to_naive(
         n in 1usize..70, density in 0.05f64..0.6, seed in any::<u64>()
     ) {
         // The k-tiled schedule must reproduce the naive kernel *bitwise*
